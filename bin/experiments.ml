@@ -39,14 +39,10 @@ let parse_loads = function
   | Some loads -> loads
 
 let jobs_arg =
-  let doc =
-    "Worker domains for parallel runs (floor 1; default: \
-     the machine's recommended domain count minus one)."
-  in
-  Arg.(
-    value
-    & opt int (Engine.Parallel.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Cliopts.jobs_arg
+    ~doc:
+      "Worker domains for parallel runs (floor 1; default: the machine's \
+       recommended domain count minus one)."
 
 (* Progress lines can now be emitted from worker domains; serialize them. *)
 let progress_mutex = Mutex.create ()
@@ -103,38 +99,10 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let trace_sample_arg =
-  let doc =
-    "Probability that any given packet event is recorded in the trace \
-     (deterministic for a fixed --seed)."
-  in
-  Arg.(value & opt float 1.0 & info [ "trace-sample" ] ~docv:"RATE" ~doc)
-
-let profile_arg =
-  let doc =
-    "Write a span profile of the run to $(docv) as Chrome trace-event JSON \
-     (load in Perfetto or chrome://tracing); a sorted self/total-time table \
-     is printed to stderr.  The profiled span structure is identical for \
-     any --jobs value."
-  in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
-let make_profiler profile =
-  match profile with
-  | Some _ -> Engine.Span.create ()
-  | None -> Engine.Span.disabled
-
-let write_profile profile profiler =
-  match profile with
-  | None -> ()
-  | Some path ->
-    (try
-       Out_channel.with_open_text path (fun oc ->
-           Engine.Span.write_chrome profiler oc)
-     with Sys_error e ->
-       Format.eprintf "cannot write profile: %s@." e;
-       exit 1);
-    Format.eprintf "%a@." Engine.Span.pp_table profiler;
-    progress "wrote %s@." path
+  Cliopts.trace_sample_arg
+    ~doc:
+      "Probability that any given packet event is recorded in the trace \
+       (deterministic for a fixed --seed)."
 
 let flight_arg =
   let doc =
@@ -203,13 +171,8 @@ let metrics_out_arg =
 (* Atomic (temp file + rename): a scraper tailing the file, or a run
    killed mid-write, can never observe a truncated exposition. *)
 let write_metrics path tel =
-  try
-    Engine.Perf.write_atomic path (fun oc ->
-        output_string oc
-          (Engine.Exposition.render ~tenant_names:fig4_tenant_names tel))
-  with Sys_error e ->
-    Format.eprintf "cannot write metrics: %s@." e;
-    exit 1
+  Cliopts.write_atomic_or_exit ~what:"metrics" path
+    (Engine.Exposition.render ~tenant_names:fig4_tenant_names tel)
 
 let finish_metrics metrics_out tel =
   match (metrics_out, tel) with
@@ -223,34 +186,15 @@ let finish_metrics metrics_out tel =
    prints the snapshot.  [force] creates a registry even when neither
    --telemetry nor --trace asked for one (the --metrics-out case). *)
 let setup_telemetry ?(force = false) ~telemetry ~trace ~trace_sample ~seed () =
-  if trace_sample < 0. || trace_sample > 1. then begin
-    Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-      trace_sample;
-    exit 1
-  end;
   if (not telemetry) && trace = None && not force then (None, fun () -> ())
   else begin
     let tel = Engine.Telemetry.create () in
-    let close_trace =
-      match trace with
-      | None -> fun () -> ()
-      | Some path ->
-        let oc =
-          try open_out path
-          with Sys_error e ->
-            Format.eprintf "cannot write trace: %s@." e;
-            exit 1
-        in
-        Engine.Telemetry.attach_sink tel ~sample:trace_sample ~seed oc;
-        fun () ->
-          Engine.Telemetry.detach_sink tel;
-          close_out oc;
-          progress "wrote %s@." path
-    in
+    let sink = Cliopts.attach_trace tel ~sample:trace_sample ~seed trace in
     ( Some tel,
       fun () ->
         let snap = Engine.Telemetry.snapshot tel in
-        close_trace ();
+        Engine.Telemetry.detach_sink tel;
+        Cliopts.close_sink sink;
         if telemetry then
           print_endline (Engine.Json.to_string ~pretty:true snap) )
   end
@@ -262,11 +206,6 @@ let setup_telemetry ?(force = false) ~telemetry ~trace ~trace_sample ~seed () =
    count. *)
 let setup_job_telemetry ~telemetry ~trace ~trace_sample ~metrics_out
     (grid : Experiments.Fig4.job list) =
-  if trace_sample < 0. || trace_sample > 1. then begin
-    Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-      trace_sample;
-    exit 1
-  end;
   if (not telemetry) && trace = None && metrics_out = None then
     ((fun (_ : Experiments.Fig4.job) -> Engine.Telemetry.disabled), fun () -> ())
   else begin
@@ -275,64 +214,29 @@ let setup_job_telemetry ~telemetry ~trace ~trace_sample ~metrics_out
         (fun (job : Experiments.Fig4.job) ->
           let tel = Engine.Telemetry.create () in
           let tmp =
-            match trace with
-            | None -> None
-            | Some _ ->
-              let path = Filename.temp_file "qvisor-trace" ".ndjson" in
-              let oc = open_out path in
-              Engine.Telemetry.attach_sink tel ~sample:trace_sample
-                ~seed:job.Experiments.Fig4.job_seed oc;
-              Some (path, oc)
+            Cliopts.attach_shard tel ~sample:trace_sample
+              ~seed:job.Experiments.Fig4.job_seed trace
           in
-          (job.Experiments.Fig4.index, tel, tmp))
+          (job.Experiments.Fig4.index, (tel, tmp)))
         grid
     in
-    let by_index = Hashtbl.create 64 in
-    List.iter (fun (i, tel, _) -> Hashtbl.replace by_index i tel) slots;
     let telemetry_for (job : Experiments.Fig4.job) =
-      Hashtbl.find by_index job.Experiments.Fig4.index
+      fst (List.assoc job.Experiments.Fig4.index slots)
     in
     let finish () =
       let merged = Engine.Telemetry.create () in
-      let final =
-        match trace with
-        | None -> None
-        | Some path -> (
-          match open_out path with
-          | oc ->
-            Engine.Telemetry.attach_sink merged ~sample:trace_sample oc;
-            Some (path, oc)
-          | exception Sys_error e ->
-            Format.eprintf "cannot write trace: %s@." e;
-            exit 1)
-      in
+      let final = Cliopts.attach_trace merged ~sample:trace_sample trace in
       List.iter
-        (fun (_, tel, tmp) ->
+        (fun (_, (tel, tmp)) ->
           Engine.Telemetry.merge_into ~into:merged tel;
-          match tmp with
-          | None -> ()
-          | Some (path, oc) ->
-            Engine.Telemetry.detach_sink tel;
-            close_out oc;
-            (match final with
-            | None -> ()
-            | Some (_, final_oc) ->
-              let ic = open_in_bin path in
-              let len = in_channel_length ic in
-              output_string final_oc (really_input_string ic len);
-              close_in ic);
-            Sys.remove path)
+          Cliopts.merge_shard tel ~into:final tmp)
         slots;
       let snap =
         if telemetry then Some (Engine.Telemetry.snapshot merged) else None
       in
       finish_metrics metrics_out (Some merged);
-      (match final with
-      | None -> ()
-      | Some (path, oc) ->
-        Engine.Telemetry.detach_sink merged;
-        close_out oc;
-        progress "wrote %s@." path);
+      Engine.Telemetry.detach_sink merged;
+      Cliopts.close_sink final;
       Option.iter
         (fun snap -> print_endline (Engine.Json.to_string ~pretty:true snap))
         snap
@@ -355,19 +259,15 @@ let fig4_cmd =
     in
     (* Per-job span profilers, merged in job order after the join — the
        merged span structure is identical for any --jobs value. *)
-    let profiler = make_profiler profile in
+    let profiler = Cliopts.make_profiler profile in
     let profiler_slots =
-      if Engine.Span.is_enabled profiler then
-        List.map
-          (fun (job : Experiments.Fig4.job) ->
-            (job.Experiments.Fig4.index, Engine.Span.create ()))
-          grid
-      else []
+      List.map
+        (fun (job : Experiments.Fig4.job) ->
+          (job.Experiments.Fig4.index, Cliopts.make_profiler profile))
+        grid
     in
     let profiler_for (job : Experiments.Fig4.job) =
-      match List.assoc_opt job.Experiments.Fig4.index profiler_slots with
-      | Some p -> p
-      | None -> Engine.Span.disabled
+      List.assoc job.Experiments.Fig4.index profiler_slots
     in
     let on_start (job : Experiments.Fig4.job) =
       progress "running load %.2f %s...@." job.Experiments.Fig4.job_load
@@ -388,13 +288,13 @@ let fig4_cmd =
     List.iter
       (fun (i, p) -> Engine.Span.merge_into ~into:profiler ~tid:(i + 1) p)
       profiler_slots;
-    write_profile profile profiler
+    Cliopts.write_profile profile profiler
   in
   let doc = "Regenerate Fig. 4 (both panels): pFabric FCT vs load, six schemes." in
   Cmd.v (Cmd.info "fig4" ~doc)
     Term.(
       const run $ scale_arg $ seed_arg $ loads_arg $ csv_arg $ config_arg
-      $ telemetry_arg $ trace_arg $ trace_sample_arg $ jobs_arg $ profile_arg
+      $ telemetry_arg $ trace_arg $ trace_sample_arg $ jobs_arg $ Cliopts.profile_arg
       $ metrics_out_arg)
 
 let ablation_quant_cmd =
@@ -511,13 +411,9 @@ let churn_cmd =
       else Engine.Telemetry.disabled
     in
     (* One private profiler per scheme, merged naive-then-qvisor. *)
-    let profiler = make_profiler profile in
-    let prof_of_scheme ~qvisor:_ =
-      if Engine.Span.is_enabled profiler then Engine.Span.create ()
-      else Engine.Span.disabled
-    in
-    let prof_naive = prof_of_scheme ~qvisor:false in
-    let prof_qvisor = prof_of_scheme ~qvisor:true in
+    let profiler = Cliopts.make_profiler profile in
+    let prof_naive = Cliopts.make_profiler profile in
+    let prof_qvisor = Cliopts.make_profiler profile in
     let profiler_for ~qvisor = if qvisor then prof_qvisor else prof_naive in
     progress "running churn (naive + qvisor)...@.";
     match
@@ -531,14 +427,14 @@ let churn_cmd =
       finish_metrics metrics_out tel;
       Engine.Span.merge_into ~into:profiler ~tid:1 prof_naive;
       Engine.Span.merge_into ~into:profiler ~tid:2 prof_qvisor;
-      write_profile profile profiler
+      Cliopts.write_profile profile profiler
     | _ -> assert false
   in
   let doc = "Ablation A3: tenant churn (the paper's Fig. 2 timeline)." in
   Cmd.v (Cmd.info "churn" ~doc)
     Term.(
       const run $ seed_arg $ telemetry_arg $ trace_arg $ trace_sample_arg
-      $ jobs_arg $ profile_arg $ metrics_out_arg)
+      $ jobs_arg $ Cliopts.profile_arg $ metrics_out_arg)
 
 let single_cmd =
   let scheme_arg =
@@ -562,24 +458,13 @@ let single_cmd =
     Arg.(value & flag & info [ "slo" ] ~doc)
   in
   let inject_arg =
-    let fault_conv =
-      let parse s =
-        match Conformance.Fault.of_string s with
-        | Ok f -> Ok f
-        | Error e -> Error (`Msg e)
-      in
-      let print ppf f =
-        Format.pp_print_string ppf (Conformance.Fault.to_string f)
-      in
-      Arg.conv (parse, print)
-    in
     let doc =
       "Replace every port's queue discipline with a deliberately broken one \
        (lifo-ties | drop-newest), whatever the scheme chose — the negative \
        control for the --slo gate."
     in
     Arg.(
-      value & opt (some fault_conv) None & info [ "inject" ] ~docv:"FAULT" ~doc)
+      value & opt (some Cliopts.fault) None & info [ "inject" ] ~docv:"FAULT" ~doc)
   in
   let alerts_arg =
     let doc =
@@ -627,15 +512,8 @@ let single_cmd =
         ~force:(metrics_out <> None)
         ~telemetry ~trace ~trace_sample ~seed ()
     in
-    let alerts_oc =
-      Option.map
-        (fun path ->
-          try open_out path
-          with Sys_error e ->
-            Format.eprintf "cannot write alerts: %s@." e;
-            exit 1)
-        alerts
-    in
+    let alerts_sink = Cliopts.open_sink ~what:"alerts" alerts in
+    let alerts_oc = Option.map snd alerts_sink in
     (* Graceful shutdown: an interrupted run must not truncate an NDJSON
        record mid-line or leave a stale metrics file — flush the alert
        sink and rewrite the exposition one last time, then exit through
@@ -656,7 +534,7 @@ let single_cmd =
         write_metrics path tel
       | _ -> ()
     in
-    let profiler = make_profiler profile in
+    let profiler = Cliopts.make_profiler profile in
     let flight_config, on_anomaly, finish_flight = setup_flight flight in
     let r =
       or_die
@@ -711,13 +589,9 @@ let single_cmd =
     | _ -> ());
     finish_telemetry ();
     finish_flight ();
-    (match (alerts_oc, alerts) with
-    | Some oc, Some path ->
-      close_out oc;
-      progress "wrote %s@." path
-    | _ -> ());
+    Cliopts.close_sink alerts_sink;
     finish_metrics metrics_out tel;
-    write_profile profile profiler;
+    Cliopts.write_profile profile profiler;
     match r.Experiments.Fig4.slo with
     | Some report
       when List.exists
@@ -735,7 +609,7 @@ let single_cmd =
   Cmd.v (Cmd.info "single" ~doc)
     Term.(
       const run $ scale_arg $ seed_arg $ scheme_arg $ load_arg $ config_arg
-      $ telemetry_arg $ trace_arg $ trace_sample_arg $ profile_arg
+      $ telemetry_arg $ trace_arg $ trace_sample_arg $ Cliopts.profile_arg
       $ flight_arg $ slo_arg $ inject_arg $ alerts_arg $ metrics_out_arg
       $ metrics_interval_arg)
 

@@ -162,45 +162,14 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let trace_sample_arg =
-  let doc = "Probability that a dry-run event is recorded in the trace." in
-  Arg.(value & opt float 1.0 & info [ "trace-sample" ] ~docv:"RATE" ~doc)
+  Cliopts.trace_sample_arg
+    ~doc:"Probability that a dry-run event is recorded in the trace."
 
 let jobs_arg =
-  let doc =
-    "Worker domains for the telemetry dry run (floor 1; default: the \
-     machine's recommended domain count minus one)."
-  in
-  Arg.(
-    value
-    & opt int (Engine.Parallel.default_jobs ())
-    & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let profile_arg =
-  let doc =
-    "Write a span profile of the run to $(docv) as Chrome trace-event JSON \
-     (load in Perfetto or chrome://tracing); a sorted self/total-time table \
-     is printed to stderr.  The profiled span structure is identical for \
-     any --jobs value."
-  in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
-let make_profiler profile =
-  match profile with
-  | Some _ -> Engine.Span.create ()
-  | None -> Engine.Span.disabled
-
-let write_profile profile profiler =
-  match profile with
-  | None -> ()
-  | Some path ->
-    (try
-       Out_channel.with_open_text path (fun oc ->
-           Engine.Span.write_chrome profiler oc)
-     with Sys_error e ->
-       Format.eprintf "cannot write profile: %s@." e;
-       exit 1);
-    Format.eprintf "%a@." Engine.Span.pp_table profiler;
-    Format.eprintf "wrote %s@." path
+  Cliopts.jobs_arg
+    ~doc:
+      "Worker domains for the telemetry dry run (floor 1; default: the \
+       machine's recommended domain count minus one)."
 
 (* Cap the per-tenant label sweep so wide rank ranges stay cheap. *)
 let max_sweep_labels = 4096
@@ -252,14 +221,9 @@ let run_dry_run_part ~plan ~trace ~trace_sample ~profiled part =
   Engine.Span.with_ prof ~name:"plan.dry_run_part" @@ fun () ->
   let tel = Engine.Telemetry.create () in
   let sink =
-    match trace with
-    | None -> None
-    | Some _ ->
-      let path, oc = Filename.open_temp_file "qvisor-trace" ".ndjson" in
-      Engine.Telemetry.attach_sink tel ~sample:trace_sample
-        ~seed:(Engine.Rng.derive ~seed:0 part.part_index)
-        oc;
-      Some (path, oc)
+    Cliopts.attach_shard tel ~sample:trace_sample
+      ~seed:(Engine.Rng.derive ~seed:0 part.part_index)
+      trace
   in
   let pre = Qvisor.Preprocessor.of_plan ~profiler:prof ~telemetry:tel plan in
   List.iteri
@@ -279,14 +243,9 @@ let plan_cmd =
       telemetry trace trace_sample jobs profile =
     let tenants, policy = resolve_spec spec_file tenant_specs policy_str in
     let config = { Qvisor.Synthesizer.default_config with levels } in
-    let profiler = make_profiler profile in
+    let profiler = Cliopts.make_profiler profile in
     (* Exercise the pre-processor and return its registry snapshot (None
        when telemetry is off). *)
-    if trace_sample < 0. || trace_sample > 1. then begin
-      Format.eprintf "--trace-sample must be within [0,1] (got %g)@."
-        trace_sample;
-      exit 1
-    end;
     let run_telemetry plan =
       if (not telemetry) && trace = None then None
       else begin
@@ -302,46 +261,17 @@ let plan_cmd =
             parts
         in
         let merged = Engine.Telemetry.create () in
-        let final =
-          match trace with
-          | None -> None
-          | Some path ->
-            let oc =
-              try open_out path
-              with Sys_error e ->
-                Format.eprintf "cannot write trace: %s@." e;
-                exit 1
-            in
-            Engine.Telemetry.attach_sink merged ~sample:trace_sample oc;
-            Some (path, oc)
-        in
+        let final = Cliopts.attach_trace merged ~sample:trace_sample trace in
         List.iteri
           (fun i (tel, sink, prof) ->
             Engine.Telemetry.merge_into ~into:merged tel;
             Engine.Span.merge_into ~into:profiler ~tid:(i + 1) prof;
-            match (sink, final) with
-            | Some (tmp, tmp_oc), Some (_, oc) ->
-              Engine.Telemetry.detach_sink tel;
-              close_out tmp_oc;
-              let ic = open_in_bin tmp in
-              let len = in_channel_length ic in
-              output_string oc (really_input_string ic len);
-              close_in ic;
-              Sys.remove tmp
-            | Some (tmp, tmp_oc), None ->
-              Engine.Telemetry.detach_sink tel;
-              close_out tmp_oc;
-              Sys.remove tmp
-            | None, _ -> ())
+            Cliopts.merge_shard tel ~into:final sink)
           results;
         (* Snapshot before detaching so the trace stats are included. *)
         let snap = Engine.Telemetry.snapshot merged in
-        (match final with
-        | None -> ()
-        | Some (path, oc) ->
-          Engine.Telemetry.detach_sink merged;
-          close_out oc;
-          Format.eprintf "wrote %s@." path);
+        Engine.Telemetry.detach_sink merged;
+        Cliopts.close_sink final;
         Some snap
       end
     in
@@ -366,7 +296,7 @@ let plan_cmd =
           @ telemetry_fields)
       in
       print_endline (Engine.Json.to_string ~pretty:true payload);
-      write_profile profile profiler;
+      Cliopts.write_profile profile profiler;
       if not report.Qvisor.Analysis.feasible then exit 2
     | Ok plan ->
       Format.printf "%a@.@." Qvisor.Synthesizer.pp_plan plan;
@@ -406,7 +336,7 @@ let plan_cmd =
         if telemetry then
           Format.printf "@.telemetry:@.%s@."
             (Engine.Json.to_string ~pretty:true snap));
-      write_profile profile profiler;
+      Cliopts.write_profile profile profiler;
       if not report.Qvisor.Analysis.feasible then exit 2
   in
   let doc = "Synthesize a joint scheduling plan and analyze its guarantees." in
@@ -414,7 +344,7 @@ let plan_cmd =
     Term.(
       const run $ tenants_arg $ policy_arg $ queues_arg $ levels_arg $ json_arg
       $ spec_file_arg $ pipeline_arg $ telemetry_arg $ trace_arg
-      $ trace_sample_arg $ jobs_arg $ profile_arg)
+      $ trace_sample_arg $ jobs_arg $ Cliopts.profile_arg)
 
 let fit_cmd =
   let queues_required =
@@ -470,15 +400,6 @@ let check_cmd =
 (* conformance: seeded differential fuzzing against the ideal oracle  *)
 (* ------------------------------------------------------------------ *)
 
-let fault_conv =
-  let parse s =
-    match Conformance.Fault.of_string s with
-    | Ok f -> Ok f
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf f = Format.pp_print_string ppf (Conformance.Fault.to_string f) in
-  Arg.conv (parse, print)
-
 let conformance_cmd =
   let seed_arg =
     let doc = "Root seed; case $(i,i) uses the derived seed for (SEED, i)." in
@@ -489,14 +410,10 @@ let conformance_cmd =
     Arg.(value & opt int 200 & info [ "cases"; "n" ] ~docv:"N" ~doc)
   in
   let jobs_arg =
-    let doc =
-      "Worker domains verifying cases in parallel (floor 1; results are \
-       identical for any value)."
-    in
-    Arg.(
-      value
-      & opt int (Engine.Parallel.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+    Cliopts.jobs_arg
+      ~doc:
+        "Worker domains verifying cases in parallel (floor 1; results are \
+         identical for any value)."
   in
   let replay_arg =
     let doc =
@@ -513,7 +430,7 @@ let conformance_cmd =
        the shrinker minimizes them."
     in
     Arg.(
-      value & opt (some fault_conv) None & info [ "inject" ] ~docv:"FAULT" ~doc)
+      value & opt (some Cliopts.fault) None & info [ "inject" ] ~docv:"FAULT" ~doc)
   in
   let repro_arg =
     let doc = "Where to write the shrunk reproducer of the first failure." in
@@ -628,7 +545,7 @@ let conformance_cmd =
            Format.eprintf "cannot write flight dump: %s@." e))
   in
   let run_fuzz backends seed cases jobs repro profile metrics_out =
-    let profiler = make_profiler profile in
+    let profiler = Cliopts.make_profiler profile in
     let tel = Option.map (fun _ -> Engine.Telemetry.create ()) metrics_out in
     let res =
       Conformance.Differential.run_cases ~jobs ~profiler ?telemetry:tel
@@ -639,12 +556,8 @@ let conformance_cmd =
     | Some path, Some tel ->
       (* Atomic: a CI scraper racing the writer must never read a
          truncated exposition file. *)
-      (try
-         Engine.Perf.write_atomic path (fun oc ->
-             output_string oc (Engine.Exposition.render tel))
-       with Sys_error e ->
-         Format.eprintf "cannot write metrics: %s@." e;
-         exit 1);
+      Cliopts.write_atomic_or_exit ~what:"metrics" path
+        (Engine.Exposition.render tel);
       Format.eprintf "wrote %s@." path
     | _ -> ());
     Format.printf "%a@." Conformance.Differential.pp_run res;
@@ -653,7 +566,7 @@ let conformance_cmd =
       res.Conformance.Differential.errors;
     match res.Conformance.Differential.failures with
     | [] ->
-      write_profile profile profiler;
+      Cliopts.write_profile profile profiler;
       if res.Conformance.Differential.errors <> [] then exit 1;
       Format.printf
         "all %d cases conform: exact backends match the oracle verbatim@."
@@ -685,7 +598,7 @@ let conformance_cmd =
         small.Conformance.Scenario.capacity_pkts repro;
       dump_flight backend small repro;
       Format.printf "  replay with: qvisor-cli conformance --replay %s@." repro;
-      write_profile profile profiler;
+      Cliopts.write_profile profile profiler;
       exit 1
   in
   let run seed cases jobs replay inject repro profile metrics_out =
@@ -711,7 +624,7 @@ let conformance_cmd =
   Cmd.v (Cmd.info "conformance" ~doc)
     Term.(
       const run $ seed_arg $ cases_arg $ jobs_arg $ replay_arg $ inject_arg
-      $ repro_arg $ profile_arg $ metrics_out_arg)
+      $ repro_arg $ Cliopts.profile_arg $ metrics_out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* metrics: Prometheus text exposition of a control-plane dry run     *)
@@ -782,10 +695,7 @@ let metrics_cmd =
         (match out with
         | None -> print_string text
         | Some path ->
-          (try Engine.Perf.write_atomic path (fun oc -> output_string oc text)
-           with Sys_error e ->
-             Format.eprintf "cannot write metrics: %s@." e;
-             exit 1);
+          Cliopts.write_atomic_or_exit ~what:"metrics" path text;
           Format.eprintf "wrote %s@." path))
   in
   let doc =
@@ -1012,7 +922,7 @@ let serve_cmd =
        Violating and exercises auto-remediation end to end."
     in
     Arg.(
-      value & opt (some fault_conv) None & info [ "inject" ] ~docv:"FAULT" ~doc)
+      value & opt (some Cliopts.fault) None & info [ "inject" ] ~docv:"FAULT" ~doc)
   in
   let pace_arg =
     let doc =
@@ -1045,14 +955,10 @@ let serve_cmd =
       else resolve_spec spec_file tenant_specs policy_str
     in
     let open_sink =
-      Option.map (fun path ->
-          try open_out path
-          with Sys_error e ->
-            Format.eprintf "cannot write %s: %s@." path e;
-            exit 1)
+      Option.map (fun path -> (path, Cliopts.open_out_or_exit ~what:path path))
     in
-    let alerts_oc = open_sink alerts in
-    let audit_oc = open_sink audit in
+    let alerts_sink = open_sink alerts in
+    let audit_sink = open_sink audit in
     let config =
       {
         default with
@@ -1070,8 +976,8 @@ let serve_cmd =
             Daemon.Remediation.default_config with
             Daemon.Remediation.cooldown;
           };
-        alerts = alerts_oc;
-        audit = audit_oc;
+        alerts = Option.map snd alerts_sink;
+        audit = Option.map snd audit_sink;
         inject_qdisc = Option.map Conformance.Fault.qdisc inject;
         pace;
         snapshot_interval;
@@ -1090,14 +996,8 @@ let serve_cmd =
         (Daemon.Server.http_port server);
       Format.print_flush ();
       Daemon.Server.serve server;
-      List.iter
-        (fun (oc, path) ->
-          match (oc, path) with
-          | Some oc, Some path ->
-            close_out oc;
-            Format.eprintf "wrote %s@." path
-          | _ -> ())
-        [ (alerts_oc, alerts); (audit_oc, audit) ]
+      Cliopts.close_sink alerts_sink;
+      Cliopts.close_sink audit_sink
   in
   let doc =
     "Run the scheduling hypervisor as a persistent daemon: continuous \

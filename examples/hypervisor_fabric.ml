@@ -4,8 +4,9 @@
 
    1. synthesize a flow trace offline and freeze it to disk (the stand-in
       for importing a measured production trace);
-   2. create a Hypervisor (synthesizer + pre-processor + runtime monitor
-      + adversarial guard) for two tenants and an operator policy;
+   2. assemble the Fig. 1 box with [Qvisor.Runtime] (synthesizer +
+      pre-processor + runtime monitor + adversarial guard) for three
+      tenants and an operator policy;
    3. replay the trace through a leaf-spine fabric whose ports run PIFOs
       behind the hypervisor's line-rate hook, while a third, misbehaving
       traffic source hammers top ranks;
@@ -46,9 +47,11 @@ let () =
     ]
   in
   let hv =
-    Qvisor.Hypervisor.create_exn
+    Qvisor.Runtime.create_exn
       ~guard:{ Qvisor.Guard.default_config with window = 128 }
-      ~tenants ~policy:"interactive >> deadline + rogue" ()
+      ~tenants
+      ~policy:(Qvisor.Policy.parse_exn "interactive >> deadline + rogue")
+      ()
   in
 
   (* 3. Fabric with the hypervisor's hook installed on every port. *)
@@ -62,7 +65,7 @@ let () =
   let net =
     Netsim.Net.create ~sim ~topo ~routing
       ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
-      ~preprocess:(Qvisor.Hypervisor.process hv)
+      ~preprocess:(Qvisor.Runtime.process hv)
       ~deliver:(Netsim.Transport.deliver transport)
       ()
   in
@@ -100,7 +103,7 @@ let () =
   Format.printf "@.interactive tenant FCTs:@.  %a@." Netsim.Metrics.pp_summary
     metrics;
   let verdict_str id =
-    match Qvisor.Hypervisor.verdict hv ~tenant_id:id with
+    match Qvisor.Runtime.verdict hv ~tenant_id:id with
     | Qvisor.Guard.Conforming -> "conforming"
     | Qvisor.Guard.Suspicious _ -> "SUSPICIOUS"
     | Qvisor.Guard.Malicious _ -> "MALICIOUS (parked at worst rank)"
@@ -113,5 +116,5 @@ let () =
       Format.printf "  link %2d: %4.1f%% utilized@." link_id (100. *. u))
     (Netsim.Net.busiest_links net ~now:0.05 ~top:5);
   Format.printf "@.packets through the hypervisor: %d@."
-    (Qvisor.Hypervisor.packets_processed hv);
+    (Qvisor.Preprocessor.processed (Qvisor.Runtime.preprocessor hv));
   Sys.remove trace_path

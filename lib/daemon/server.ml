@@ -87,8 +87,7 @@ type t = {
   transport : Netsim.Transport.t;
   net : Netsim.Net.t;
   runtime : Qvisor.Runtime.t;
-  auditor : Qvisor.Slo.t ref;
-  health : Engine.Health.t;
+  watch : Qvisor.Slo.Watch.t;
   remediation : Remediation.t;
   rng : Engine.Rng.t;
   tel : Engine.Telemetry.t;
@@ -120,54 +119,14 @@ let socket_path t = t.config.socket_path
 
 let stop t = t.stopping <- true
 
-(* ------------------------------------------------------------------ *)
-(* SLO plumbing                                                       *)
-(* ------------------------------------------------------------------ *)
+let health t = Qvisor.Slo.Watch.health t.watch
 
-let envelopes tenants ~load =
-  let sigma = float_of_int (queue_capacity_pkts * 1518) in
-  List.map
-    (fun tn ->
-      ( tn.T.id,
-        Qvisor.Latency.envelope ~sigma ~rho:(load *. access_rate /. 8.) ))
-    tenants
-
-let make_auditor runtime ~load =
-  let plan = Qvisor.Runtime.plan runtime in
-  let tenants = Qvisor.Runtime.tenants runtime in
-  let objectives =
-    Qvisor.Slo.derive ~plan ~envelopes:(envelopes tenants ~load)
-      ~link_rate:access_rate ()
-  in
-  Qvisor.Slo.create ~objectives ()
-
-let rebuild_slo t = t.auditor := make_auditor t.runtime ~load:t.config.load
-
-let health_severity = function
-  | Engine.Health.Healthy -> 0.
-  | Engine.Health.Degraded -> 1.
-  | Engine.Health.Violating -> 2.
-
-let mirror t (tn : T.t) =
-  if Engine.Telemetry.is_enabled t.tel then begin
-    let id = tn.T.id in
-    (match Qvisor.Slo.status !(t.auditor) ~tenant_id:id with
-    | None -> ()
-    | Some st ->
-      let set name v =
-        Engine.Telemetry.Gauge.set
-          (Engine.Telemetry.gauge t.tel
-             (Printf.sprintf "slo.tenant.%d.%s" id name))
-          v
-      in
-      set "fast_burn" st.Qvisor.Slo.fast_burn;
-      set "slow_burn" st.Qvisor.Slo.slow_burn;
-      set "budget_remaining" st.Qvisor.Slo.budget_remaining;
-      set "delay_quantile_seconds" st.Qvisor.Slo.observed_delay);
-    Engine.Telemetry.Gauge.set
-      (Engine.Telemetry.gauge t.tel (Printf.sprintf "health.tenant.%d.state" id))
-      (health_severity (Engine.Health.state t.health ~id))
-  end
+(* Every tenant offers the same load; the burst term is a full queue of
+   MTU packets, as in the Fig. 4 harness. *)
+let envelope ~load (_ : T.t) =
+  Qvisor.Latency.envelope
+    ~sigma:(float_of_int (queue_capacity_pkts * 1518))
+    ~rho:(load *. access_rate /. 8.)
 
 (* ------------------------------------------------------------------ *)
 (* Retention store                                                     *)
@@ -217,11 +176,7 @@ let execute_remediation t (tn : T.t) ~attempt ~action ~now =
     | Remediation.Refresh -> Qvisor.Runtime.refresh t.runtime
     | Remediation.Coarsen { levels } -> Qvisor.Runtime.coarsen t.runtime ~levels
   in
-  (match result with
-  | Ok () ->
-    t.remediations <- t.remediations + 1;
-    rebuild_slo t
-  | Error _ -> ());
+  if Result.is_ok result then t.remediations <- t.remediations + 1;
   annotate t ~kind:"remediation" ~tenant:tn.T.name
     ~detail:
       (Printf.sprintf "attempt %d: %s (%s)" attempt
@@ -234,22 +189,15 @@ let execute_remediation t (tn : T.t) ~attempt ~action ~now =
 
 let tick t =
   let now = Engine.Sim.now t.sim in
-  List.iter
-    (fun (tn : T.t) ->
-      let id = tn.T.id in
-      let signal, detail = Qvisor.Slo.evaluate !(t.auditor) ~tenant_id:id in
-      Engine.Health.observe t.health ~id ~time:now ~source:"slo" ~detail signal;
-      let state = Engine.Health.state t.health ~id in
-      (match
-         Remediation.observe t.remediation ~id ~now
-           ~levels:(Qvisor.Runtime.config t.runtime).Qvisor.Synthesizer.levels
-           state
-       with
+  Qvisor.Slo.Watch.tick t.watch ~react:(fun tn state ->
+      match
+        Remediation.observe t.remediation ~id:tn.T.id ~now
+          ~levels:(Qvisor.Runtime.config t.runtime).Qvisor.Synthesizer.levels
+          state
+      with
       | Remediation.Hold -> ()
       | Remediation.Fire { attempt; action } ->
-        execute_remediation t tn ~attempt ~action ~now);
-      mirror t tn)
-    (Qvisor.Runtime.tenants t.runtime)
+        execute_remediation t tn ~attempt ~action ~now)
 
 (* ------------------------------------------------------------------ *)
 (* Traffic                                                            *)
@@ -349,7 +297,7 @@ let status t =
             Proto.ts_id = tn.T.id;
             ts_name = tn.T.name;
             ts_algorithm = tn.T.algorithm;
-            ts_health = Engine.Health.state t.health ~id:tn.T.id;
+            ts_health = Engine.Health.state (health t) ~id:tn.T.id;
           })
         (Qvisor.Runtime.tenants t.runtime);
     resyntheses = Qvisor.Runtime.resyntheses t.runtime;
@@ -395,19 +343,14 @@ let handle_request t (req : Proto.request) : Proto.outcome =
         match Qvisor.Runtime.add_tenant t.runtime tenant ?policy () with
         | Error e -> Error e
         | Ok () ->
-          rebuild_slo t;
-          Engine.Health.watch t.health ~id:tenant.T.id ~name:tenant.T.name;
           start_traffic t tenant;
-          mirror t tenant;
           Ok (Proto.Added { epoch = epoch t })))
   | Proto.Tenant_remove { tenant_id; policy } -> (
     match Qvisor.Runtime.remove_tenant t.runtime ~tenant_id ?policy () with
     | Error e -> Error e
     | Ok () ->
       stop_traffic t ~tenant_id;
-      Engine.Health.unwatch t.health ~id:tenant_id;
       Remediation.forget t.remediation ~id:tenant_id;
-      rebuild_slo t;
       Ok (Proto.Removed { epoch = epoch t }))
   | Proto.Policy_update policy -> (
     let current = Qvisor.Runtime.tenants t.runtime in
@@ -416,9 +359,7 @@ let handle_request t (req : Proto.request) : Proto.outcome =
     | Ok () -> (
       match Qvisor.Runtime.update_policy t.runtime policy with
       | Error e -> Error e
-      | Ok () ->
-        rebuild_slo t;
-        Ok (Proto.Updated { epoch = epoch t })))
+      | Ok () -> Ok (Proto.Updated { epoch = epoch t })))
 
 (* ------------------------------------------------------------------ *)
 (* Scrape surface                                                     *)
@@ -488,7 +429,7 @@ let metrics_body t =
     (families @ extra @ [ Engine.Exposition.scrape_timestamp_family () ])
 
 let healthz_body t =
-  let worst = Engine.Health.worst t.health in
+  let worst = Engine.Health.worst (health t) in
   ( Engine.Health.state_to_string worst ^ "\n",
     worst <> Engine.Health.Violating )
 
@@ -643,7 +584,7 @@ let query_body t params =
             ( "health",
               J.String
                 (Engine.Health.state_to_string
-                   (Engine.Health.state t.health ~id:tn.T.id)) );
+                   (Engine.Health.state (health t) ~id:tn.T.id)) );
           ])
       tenants
   in
@@ -834,10 +775,9 @@ let create config =
       ~clock:(fun () -> Engine.Sim.now sim)
       ~tenants:config.tenants ~policy:config.policy ()
   in
-  let auditor = ref (make_auditor runtime ~load:config.load) in
   let tsdb = Engine.Tsdb.create () in
-  let health =
-    Engine.Health.create ?alerts:config.alerts
+  let watch =
+    Qvisor.Slo.Watch.create ?alerts:config.alerts
       ~on_transition:(fun (tr : Engine.Health.transition) ->
         Engine.Tsdb.annotate tsdb ~time:tr.Engine.Health.tr_time ~kind:"health"
           ~tenant:tr.Engine.Health.tr_name
@@ -848,11 +788,9 @@ let create config =
                (if tr.Engine.Health.tr_detail = "" then ""
                 else ": " ^ tr.Engine.Health.tr_detail))
           ())
-      ()
+      ~envelope:(envelope ~load:config.load) ~link_rate:access_rate ~sim
+      runtime
   in
-  List.iter
-    (fun tn -> Engine.Health.watch health ~id:tn.T.id ~name:tn.T.name)
-    (Qvisor.Runtime.tenants runtime);
   let topo =
     Netsim.Topology.leaf_spine ~leaves ~spines ~hosts_per_leaf ~access_rate
       ~fabric_rate ~link_delay
@@ -888,14 +826,10 @@ let create config =
             ()
         end)
       ~preprocess:(Qvisor.Runtime.process runtime)
-      ~on_enqueue:(fun p -> Qvisor.Slo.on_enqueue !auditor p)
-      ~on_dequeue:(fun (p : Sched.Packet.t) ->
-        Qvisor.Slo.on_delay !auditor ~tenant_id:p.Sched.Packet.tenant
-          (Engine.Sim.now sim -. p.Sched.Packet.enqueued_at))
-      ~on_drop:(fun p -> Qvisor.Slo.on_drop !auditor p)
-      ~on_tie_inversion:(fun (p : Sched.Packet.t) ->
-        Qvisor.Slo.on_tie_inversion !auditor
-          ~tenant_id:p.Sched.Packet.tenant)
+      ~on_enqueue:(Qvisor.Slo.Watch.on_enqueue watch)
+      ~on_dequeue:(Qvisor.Slo.Watch.on_dequeue watch)
+      ~on_drop:(Qvisor.Slo.Watch.on_drop watch)
+      ~on_tie_inversion:(Qvisor.Slo.Watch.on_tie_inversion watch)
       ~telemetry:config.telemetry
       ~deliver:(Netsim.Transport.deliver transport)
       ()
@@ -917,8 +851,7 @@ let create config =
       transport;
       net;
       runtime;
-      auditor;
-      health;
+      watch;
       remediation = Remediation.create ~config:config.remediation ();
       rng = Engine.Rng.create ~seed:config.seed;
       tel = config.telemetry;
@@ -937,7 +870,6 @@ let create config =
     }
   in
   List.iter (fun tn -> start_traffic t tn) (Qvisor.Runtime.tenants runtime);
-  List.iter (fun tn -> mirror t tn) (Qvisor.Runtime.tenants runtime);
   Ok t
 
 let cleanup t =

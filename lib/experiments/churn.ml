@@ -64,15 +64,12 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     ]
   in
   let preprocess =
-    if qvisor then begin
-      let plan =
-        Qvisor.Synthesizer.synthesize_exn ~profiler ~tenants
-          ~policy:(Qvisor.Policy.parse_exn "T1 + T2 >> T3")
-          ()
-      in
-      let pre = Qvisor.Preprocessor.of_plan ~profiler ~telemetry plan in
-      Some (Qvisor.Preprocessor.process pre)
-    end
+    if qvisor then
+      Some
+        (Qvisor.Runtime.process
+           (Qvisor.Runtime.create_exn ~telemetry ~profiler ~tenants
+              ~policy:(Qvisor.Policy.parse_exn "T1 + T2 >> T3")
+              ()))
     else None
   in
   (* Per-tenant delivered-bytes timelines (the Fig. 2 activity plot). *)

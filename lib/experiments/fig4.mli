@@ -103,7 +103,6 @@ val run :
   ?on_anomaly:(link_id:int -> Engine.Recorder.t -> unit) ->
   ?slo:bool ->
   ?alerts:out_channel ->
-  ?slo_interval:float ->
   ?on_tick:(float -> unit) ->
   ?perf:bool ->
   params ->
@@ -118,21 +117,16 @@ val run :
     [flight]/[on_anomaly] arm the fabric's per-port flight recorders (see
     {!Netsim.Net.create}).
 
-    [slo] (default [false]) turns on the online SLO audit, available only
-    for QVISOR pre-processor schemes (objectives are derived from the
-    synthesized plan): the run derives per-tenant objectives
-    ({!Qvisor.Slo.derive}, with envelopes built from the queue capacity
-    and offered loads), streams per-hop enqueue/drop/delay/rank-error
-    samples into an auditor, runs the adversarial-workload {!Qvisor.Guard}
-    on the pre-processor path, arms the flight recorder (unless [flight]
-    was given), and folds all three signals into an {!Engine.Health}
-    machine evaluated every [slo_interval] simulated seconds (default
-    [0.01]).  [alerts] receives the health machine's NDJSON transition
-    stream; [on_tick] runs after each evaluation with the current
-    simulated time (the driver's periodic metrics-emission hook); the
-    final per-tenant verdicts land in [result.slo].  With [telemetry],
-    each evaluation also mirrors [slo.tenant.<id>.*] and
-    [health.tenant.<id>.state] gauges into the registry.
+    QVISOR pre-processor schemes deploy through {!Qvisor.Runtime}.
+    [slo] (default [false]), for those schemes only, arms the runtime's
+    {!Qvisor.Guard} and a {!Qvisor.Slo.Watch} (envelopes from the queue
+    capacity and offered loads) fed by the per-hop hooks, every 8th
+    rank-error sample and the flight recorder's drop spikes (the recorder
+    is armed unless [flight] was given); the watch ticks every 10
+    simulated milliseconds.  [alerts] receives the health machine's
+    NDJSON transitions; [on_tick] runs after each tick with the simulated
+    time (the driver's periodic metrics-emission hook); the final
+    per-tenant verdicts land in [result.slo].
 
     [perf] (default [true]) — with an enabled [telemetry] registry, the
     run also arms {!Engine.Perf}: per-stage throughput meters on the
@@ -175,7 +169,6 @@ val run_jobs :
   ?profiler_for:(job -> Engine.Span.t) ->
   ?on_start:(job -> unit) ->
   ?slo:bool ->
-  ?perf:bool ->
   params ->
   job list ->
   (result list, Qvisor.Error.t) Stdlib.result
@@ -190,11 +183,10 @@ val run_jobs :
     the worker count); [on_start] is invoked in the {e worker} domain as a
     job begins, so the callback must be thread-safe.  [slo] (default
     [false]) audits every job's run as in {!run} — final verdicts are
-    identical for any worker count.  [perf] defaults to [false] here,
-    {e unlike} {!run}: the {!Engine.Perf} gauges are wall-clock rates,
-    so publishing them would make merged snapshots differ across worker
-    counts, breaking the invariance this function promises — opt in
-    only when the registries are inspected per job.  The
+    identical for any worker count.  Jobs run with [~perf:false],
+    {e unlike} {!run}'s default: the {!Engine.Perf} gauges are wall-clock
+    rates, so publishing them would make merged snapshots differ across
+    worker counts, breaking the invariance this function promises.  The
     lowest-indexed failing job's error is returned. *)
 
 val sweep :
@@ -203,7 +195,6 @@ val sweep :
   ?profiler_for:(job -> Engine.Span.t) ->
   ?on_start:(job -> unit) ->
   ?slo:bool ->
-  ?perf:bool ->
   params ->
   loads:float list ->
   schemes:scheme list ->

@@ -12,10 +12,14 @@ type t = {
      growable array — a hash lookup per packet was measurable in profiles.
      Negative (unknown) ids are rare and fall back to the side table. *)
   mutable counts : int array;
+  (* Smallest / largest raw label per tenant since the last reset, in
+     arrays grown with [counts]; [lo > hi] means nothing seen. *)
+  mutable lo : int array;
+  mutable hi : int array;
   neg_counts : (int, int ref) Hashtbl.t;
   mutable processed : int;
   ins : instruments option;
-  on_rank_error : (int -> float -> unit) option;
+  mutable on_rank_error : (int -> float -> unit) option;
   (* Without telemetry the exact-error recomputation exists only to feed
      [on_rank_error]; auditing every [rank_error_sample]-th packet keeps
      that float work off the hot path (plan distortion is systematic, so
@@ -35,7 +39,7 @@ let table_of_plan (plan : Synthesizer.plan) =
     plan.Synthesizer.assignments;
   table
 
-let of_plan ?(profiler = Engine.Span.disabled) ?telemetry ?on_rank_error
+let of_plan ?(profiler = Engine.Span.disabled) ?telemetry
     ?(rank_error_sample = 1) plan =
   if rank_error_sample <= 0 then
     invalid_arg "Preprocessor.of_plan: rank_error_sample <= 0";
@@ -58,10 +62,12 @@ let of_plan ?(profiler = Engine.Span.disabled) ?telemetry ?on_rank_error
     fallback = plan.Synthesizer.fallback;
     current = plan;
     counts = Array.make 16 0;
+    lo = Array.make 16 max_int;
+    hi = Array.make 16 min_int;
     neg_counts = Hashtbl.create 4;
     processed = 0;
     ins;
-    on_rank_error;
+    on_rank_error = None;
     rank_error_sample;
   }
 
@@ -72,9 +78,10 @@ let transform_for t ~tenant_id =
 
 let process_conditioned t ~conditioning (p : Sched.Packet.t) =
   let id = p.Sched.Packet.tenant in
+  let label = p.Sched.Packet.label in
   (* Always recomputed from the immutable tenant label, so running the
      pre-processor at every QVISOR hop is idempotent. *)
-  let conditioned = Transform.apply conditioning p.Sched.Packet.label in
+  let conditioned = Transform.apply conditioning label in
   let transform = transform_for t ~tenant_id:id in
   p.Sched.Packet.rank <- Transform.apply transform conditioned;
   (match t.ins with
@@ -106,11 +113,18 @@ let process_conditioned t ~conditioning (p : Sched.Packet.t) =
   else begin
     let n = Array.length t.counts in
     if id >= n then begin
-      let bigger = Array.make (max (2 * n) (id + 1)) 0 in
-      Array.blit t.counts 0 bigger 0 n;
-      t.counts <- bigger
+      let grow a fill =
+        let bigger = Array.make (max (2 * n) (id + 1)) fill in
+        Array.blit a 0 bigger 0 n;
+        bigger
+      in
+      t.counts <- grow t.counts 0;
+      t.lo <- grow t.lo max_int;
+      t.hi <- grow t.hi min_int
     end;
-    t.counts.(id) <- t.counts.(id) + 1
+    t.counts.(id) <- t.counts.(id) + 1;
+    if label < t.lo.(id) then t.lo.(id) <- label;
+    if label > t.hi.(id) then t.hi.(id) <- label
   end
 
 let process t p = process_conditioned t ~conditioning:Transform.Identity p
@@ -124,6 +138,23 @@ let per_tenant t =
     if t.counts.(id) > 0 then acc := (id, t.counts.(id)) :: !acc
   done;
   List.sort compare !acc
+
+let observed_range t ~tenant_id =
+  if tenant_id >= 0 && tenant_id < Array.length t.lo
+     && t.lo.(tenant_id) <= t.hi.(tenant_id)
+  then Some (t.lo.(tenant_id), t.hi.(tenant_id))
+  else None
+
+let reset_observed ?tenant_id t =
+  let reset id =
+    t.lo.(id) <- max_int;
+    t.hi.(id) <- min_int
+  in
+  match tenant_id with
+  | None -> Array.iteri (fun id _ -> reset id) t.lo
+  | Some id -> if id >= 0 && id < Array.length t.lo then reset id
+
+let set_on_rank_error t f = t.on_rank_error <- Some f
 
 let plan t = t.current
 

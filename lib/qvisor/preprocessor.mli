@@ -11,7 +11,6 @@ type t
 
 val of_plan :
   ?profiler:Engine.Span.t -> ?telemetry:Engine.Telemetry.t ->
-  ?on_rank_error:(int -> float -> unit) ->
   ?rank_error_sample:int ->
   Synthesizer.plan -> t
 (** Compile a plan into a line-rate lookup table.  [profiler] (default:
@@ -25,14 +24,15 @@ val of_plan :
     is the live distribution of [|applied - ideal|] where {e ideal} is the
     unquantized real-valued transformation ({!Transform.apply_exact}).
 
-    [on_rank_error] (default: none) receives such [(tenant_id, error)]
-    samples as they are computed — the SLO auditor's tap.  With
-    [telemetry] it sees every packet (the histograms are exact anyway);
-    without, only every [rank_error_sample]-th processed packet is
-    audited (default [1], i.e. all), keeping the exact-error float
-    recomputation off the per-packet hot path.  Plan distortion is
-    systematic — every packet of a tenant shares the same transform — so
-    a sampled maximum converges on the true one almost immediately.
+    A tap installed with {!set_on_rank_error} receives such
+    [(tenant_id, error)] samples as they are computed — the SLO
+    auditor's feed.  With [telemetry] it sees every packet (the
+    histograms are exact anyway); without, only every
+    [rank_error_sample]-th processed packet is audited (default [1],
+    i.e. all), keeping the exact-error float recomputation off the
+    per-packet hot path.  Plan distortion is systematic — every packet
+    of a tenant shares the same transform — so a sampled maximum
+    converges on the true one almost immediately.
     @raise Invalid_argument when [rank_error_sample <= 0]. *)
 
 val process : t -> Sched.Packet.t -> unit
@@ -58,8 +58,22 @@ val per_tenant : t -> (int * int) list
 (** [(tenant_id, packets)] counts for tenants seen, including unknown
     tenants handled by the fallback (reported with their own id). *)
 
+val observed_range : t -> tenant_id:int -> (int * int) option
+(** Smallest and largest raw rank label processed for a tenant since the
+    last {!reset_observed} ([None] before any packet, and always for
+    negative ids).  Kept in the dense per-tenant arrays beside the packet
+    counts: no allocation per packet. *)
+
+val reset_observed : ?tenant_id:int -> t -> unit
+(** Drop one tenant's observed range, or every tenant's (packet counts
+    are kept). *)
+
+val set_on_rank_error : t -> (int -> float -> unit) -> unit
+(** Install (or replace) the rank-error tap; sampling is as described for
+    {!of_plan}. *)
+
 val plan : t -> Synthesizer.plan
 
 val swap_plan : t -> Synthesizer.plan -> unit
 (** Atomically replace the transformation table — the runtime controller's
-    re-deployment path.  Counters are preserved. *)
+    re-deployment path.  Counters and observed ranges are preserved. *)

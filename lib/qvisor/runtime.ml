@@ -1,39 +1,20 @@
-type observation = {
-  mutable seen : bool;
-  mutable min_rank : int;
-  mutable max_rank : int;
-  p50 : Engine.P2_quantile.t;
-  p99 : Engine.P2_quantile.t;
-}
-
-let fresh_observation () =
-  {
-    seen = false;
-    min_rank = 0;
-    max_rank = 0;
-    p50 = Engine.P2_quantile.create ~q:0.5;
-    p99 = Engine.P2_quantile.create ~q:0.99;
-  }
-
 type t = {
   mutable config : Synthesizer.config;
   mutable tenants : Tenant.t list;
   mutable policy : Policy.t;
   pre : Preprocessor.t;
-  observations : (int, observation) Hashtbl.t;
+  guard : Guard.t option;
   mutable resyntheses : int;
+  mutable on_redeploy : (unit -> unit) list;
   tel : Engine.Telemetry.t;
   clock : unit -> float;
   resynthesis_count : Engine.Telemetry.Counter.t;
 }
 
-let synthesize_now config tenants policy =
-  Synthesizer.synthesize ~config ~tenants ~policy ()
-
 let create ?(config = Synthesizer.default_config)
-    ?(telemetry = Engine.Telemetry.disabled) ?(clock = fun () -> 0.) ~tenants
-    ~policy () =
-  match synthesize_now config tenants policy with
+    ?(telemetry = Engine.Telemetry.disabled) ?profiler
+    ?(clock = fun () -> 0.) ?guard ~tenants ~policy () =
+  match Synthesizer.synthesize ?profiler ~config ~tenants ~policy () with
   | Error e -> Error e
   | Ok plan ->
     Ok
@@ -41,60 +22,53 @@ let create ?(config = Synthesizer.default_config)
         config;
         tenants;
         policy;
-        pre = Preprocessor.of_plan ~telemetry plan;
-        observations = Hashtbl.create 16;
+        (* Nothing taps rank errors at compile time; a later
+           [Preprocessor.set_on_rank_error] audits every 8th packet. *)
+        pre =
+          Preprocessor.of_plan ?profiler ~telemetry ~rank_error_sample:8 plan;
+        guard =
+          Option.map
+            (fun config -> Guard.create ~config ~telemetry ~clock ~tenants ())
+            guard;
         resyntheses = 0;
+        on_redeploy = [];
         tel = telemetry;
         clock;
         resynthesis_count =
           Engine.Telemetry.counter telemetry "runtime.resyntheses";
       }
 
-let create_exn ?config ?telemetry ?clock ~tenants ~policy () =
-  match create ?config ?telemetry ?clock ~tenants ~policy () with
+let create_exn ?config ?telemetry ?profiler ?clock ?guard ~tenants ~policy () =
+  match
+    create ?config ?telemetry ?profiler ?clock ?guard ~tenants ~policy ()
+  with
   | Ok t -> t
   | Error e -> invalid_arg ("Runtime.create: " ^ Error.to_string e)
 
-let observe t (p : Sched.Packet.t) =
-  let id = p.Sched.Packet.tenant in
-  let obs =
-    match Hashtbl.find_opt t.observations id with
-    | Some o -> o
-    | None ->
-      let o = fresh_observation () in
-      Hashtbl.add t.observations id o;
-      o
-  in
-  let r = p.Sched.Packet.label in
-  if obs.seen then begin
-    if r < obs.min_rank then obs.min_rank <- r;
-    if r > obs.max_rank then obs.max_rank <- r
-  end
-  else begin
-    obs.seen <- true;
-    obs.min_rank <- r;
-    obs.max_rank <- r
-  end;
-  Engine.P2_quantile.add obs.p50 (float_of_int r);
-  Engine.P2_quantile.add obs.p99 (float_of_int r)
+let process t =
+  match t.guard with
+  | None -> Preprocessor.process t.pre
+  | Some guard -> Guard.process guard t.pre
 
-let process t p =
-  observe t p;
-  Preprocessor.process t.pre p
+let verdict t ~tenant_id =
+  match t.guard with
+  | None -> Guard.Conforming
+  | Some guard -> Guard.verdict guard ~tenant_id
 
 let preprocessor t = t.pre
+
+let telemetry t = t.tel
 
 let plan t = Preprocessor.plan t.pre
 
 let resyntheses t = t.resyntheses
 
-let observed_range t ~tenant_id =
-  match Hashtbl.find_opt t.observations tenant_id with
-  | Some o when o.seen -> Some (o.min_rank, o.max_rank)
-  | Some _ | None -> None
+let observed_range t ~tenant_id = Preprocessor.observed_range t.pre ~tenant_id
+
+let on_redeploy t f = t.on_redeploy <- t.on_redeploy @ [ f ]
 
 let redeploy t tenants policy =
-  match synthesize_now t.config tenants policy with
+  match Synthesizer.synthesize ~config:t.config ~tenants ~policy () with
   | Error e -> Error e
   | Ok plan ->
     t.tenants <- tenants;
@@ -114,6 +88,12 @@ let redeploy t tenants policy =
         ();
     Ok ()
 
+(* Subscribers run once the whole operation (guard bookkeeping, window
+   reset) is done, so they see the runtime in its final state. *)
+let notify t r =
+  if Result.is_ok r then List.iter (fun f -> f ()) t.on_redeploy;
+  r
+
 let add_tenant t tenant ?policy () =
   if List.exists (fun x -> x.Tenant.id = tenant.Tenant.id) t.tenants then
     Error
@@ -121,7 +101,9 @@ let add_tenant t tenant ?policy () =
          (Printf.sprintf "tenant id %d already present" tenant.Tenant.id))
   else begin
     let policy = Option.value policy ~default:t.policy in
-    redeploy t (t.tenants @ [ tenant ]) policy
+    let r = redeploy t (t.tenants @ [ tenant ]) policy in
+    if Result.is_ok r then Option.iter (fun g -> Guard.watch g tenant) t.guard;
+    notify t r
   end
 
 let remove_tenant t ~tenant_id ?policy () =
@@ -130,15 +112,18 @@ let remove_tenant t ~tenant_id ?policy () =
   else begin
     let tenants = List.filter (fun x -> x.Tenant.id <> tenant_id) t.tenants in
     let policy = Option.value policy ~default:t.policy in
-    Hashtbl.remove t.observations tenant_id;
-    redeploy t tenants policy
+    Preprocessor.reset_observed ~tenant_id t.pre;
+    let r = redeploy t tenants policy in
+    if Result.is_ok r then
+      Option.iter (fun g -> Guard.unwatch g ~tenant_id) t.guard;
+    notify t r
   end
 
 let tenants t = t.tenants
 
 let policy t = t.policy
 
-let update_policy t policy = redeploy t t.tenants policy
+let update_policy t policy = notify t (redeploy t t.tenants policy)
 
 let config t = t.config
 
@@ -149,7 +134,7 @@ let coarsen t ~levels =
     let old = t.config in
     t.config <- { t.config with Synthesizer.levels = Some levels };
     match redeploy t t.tenants t.policy with
-    | Ok () -> Ok ()
+    | Ok () -> notify t (Ok ())
     | Error _ as e ->
       t.config <- old;
       e
@@ -167,5 +152,5 @@ let refresh t =
   match redeploy t tenants t.policy with
   | Error _ as e -> e
   | Ok () ->
-    Hashtbl.reset t.observations;
-    Ok ()
+    Preprocessor.reset_observed t.pre;
+    notify t (Ok ())

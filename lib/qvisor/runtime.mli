@@ -1,17 +1,23 @@
-(** The runtime controller (the paper's Idea 2, online flavour).
+(** The assembled Fig. 1 box: synthesizer, pre-processor, runtime monitor
+    and (optionally) the adversarial-workload guard.
 
-    An event-driven controller in the spirit of the paper's SDN analogy:
-    it observes the raw ranks each tenant actually emits (constant-memory
-    quantile sketches), supports tenants joining and leaving at runtime,
-    and re-synthesizes + hot-swaps the pre-processor's plan when the
-    population or the observed distributions change. *)
+    An event-driven controller in the spirit of the paper's SDN analogy
+    (Idea 2, online flavour): it observes the raw ranks each tenant
+    actually emits (the min/max label per tenant, kept by the
+    pre-processor), supports tenants joining and leaving at runtime, and
+    re-synthesizes + hot-swaps the pre-processor's plan when the
+    population or the observed ranges change.  Every deployment — the
+    Fig. 4 harness, the churn ablation, the [qvisor serve] daemon —
+    builds its pre-processor here. *)
 
 type t
 
 val create :
   ?config:Synthesizer.config ->
   ?telemetry:Engine.Telemetry.t ->
+  ?profiler:Engine.Span.t ->
   ?clock:(unit -> float) ->
+  ?guard:Guard.config ->
   tenants:Tenant.t list ->
   policy:Policy.t ->
   unit ->
@@ -20,16 +26,22 @@ val create :
     pre-processor.  Fails with the initial synthesis error when there is
     one.
 
-    [telemetry] (default: off) is threaded to the pre-processor and
-    counts every successful re-synthesis under [runtime.resyntheses];
-    when the registry carries a trace sink, each re-synthesis is offered
-    as a ["resynthesis"] event stamped with [clock ()] (default [0.] —
-    pass [fun () -> Engine.Sim.now sim] inside a simulation). *)
+    [telemetry] (default: off) is threaded to the pre-processor and the
+    guard, and counts every successful re-synthesis under
+    [runtime.resyntheses]; when the registry carries a trace sink, each
+    re-synthesis is offered as a ["resynthesis"] event stamped with
+    [clock ()] (default [0.] — pass [fun () -> Engine.Sim.now sim] inside
+    a simulation; the guard stamps its events with it too).  [profiler]
+    (default: off) records the initial ["synthesizer.synthesize"] and
+    ["preprocessor.compile"] spans.  [guard] arms the adversarial-workload
+    {!Guard} with that configuration (default: unguarded). *)
 
 val create_exn :
   ?config:Synthesizer.config ->
   ?telemetry:Engine.Telemetry.t ->
+  ?profiler:Engine.Span.t ->
   ?clock:(unit -> float) ->
+  ?guard:Guard.config ->
   tenants:Tenant.t list ->
   policy:Policy.t ->
   unit ->
@@ -37,15 +49,18 @@ val create_exn :
 (** @raise Invalid_argument if the initial synthesis fails. *)
 
 val process : t -> Sched.Packet.t -> unit
-(** The line-rate path: observe the packet's rank label for its tenant's
-    sketch, then apply the current transformation.  Install this as the
-    fabric's [preprocess] hook. *)
+(** The line-rate path: {!Preprocessor.process}, or {!Guard.process} when
+    the guard is armed (both record the raw label's observed range).
+    [process t] picks the path once, so install it partially applied as
+    the fabric's [preprocess] hook. *)
 
-val observe : t -> Sched.Packet.t -> unit
-(** Only the observation half of {!process} — for callers that route the
-    transformation through their own path (e.g. the guarded hypervisor). *)
+val verdict : t -> tenant_id:int -> Guard.verdict
+(** The guard's verdict; [Conforming] when the guard is not armed. *)
 
 val preprocessor : t -> Preprocessor.t
+
+val telemetry : t -> Engine.Telemetry.t
+(** The registry given to {!create}. *)
 
 val plan : t -> Synthesizer.plan
 
@@ -54,20 +69,28 @@ val resyntheses : t -> int
 
 val observed_range : t -> tenant_id:int -> (int * int) option
 (** Smallest and largest raw rank seen from a tenant since the last
-    [refresh] reset ([None] before any packet). *)
+    [refresh] (or since it was removed) — [None] before any packet. *)
+
+val on_redeploy : t -> (unit -> unit) -> unit
+(** Subscribe to plan and population changes: the callback runs after
+    every successful {!add_tenant}, {!remove_tenant}, {!update_policy},
+    {!coarsen} and {!refresh}, once the new plan serves.  Subscribers run
+    in subscription order. *)
 
 val add_tenant :
   t -> Tenant.t -> ?policy:Policy.t -> unit -> (unit, Error.t) result
 (** A tenant joins (the paper's t1 moment in Fig. 2).  A new policy
     covering the extended population must be supplied via [?policy] unless
     the current one already names the tenant.  On success the plan is
-    re-synthesized and swapped in. *)
+    re-synthesized and swapped in, and the guard (when armed) starts
+    watching the newcomer. *)
 
 val remove_tenant :
   t -> tenant_id:int -> ?policy:Policy.t -> unit -> (unit, Error.t) result
 (** A tenant leaves.  [?policy] replaces the operator policy when the
     current one would still name the departed tenant (which it normally
-    does). *)
+    does).  The tenant's observed range is dropped, and on success the
+    guard forgets it. *)
 
 val tenants : t -> Tenant.t list
 (** The currently-deployed tenant population, in deployment order. *)

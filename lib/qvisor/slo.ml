@@ -304,3 +304,165 @@ let pp_status ppf st =
     st.observed_delay st.drops st.attempts st.fast_burn st.slow_burn
     (100. *. st.budget_remaining)
     st.max_rank_error st.tie_inversions
+
+module Watch = struct
+  type nonrec t = {
+    runtime : Runtime.t;
+    envelope : Tenant.t -> Latency.envelope;
+    link_rate : float;
+    sim : Engine.Sim.t;
+    health : Engine.Health.t;
+    mutable auditor : t;
+    since_spike : (int, int * int) Hashtbl.t;
+        (* tenant id -> (drops, attempts) at the previous drop spike *)
+    spikes : (int, string * float) Hashtbl.t;
+        (* tenant id -> queued (detail, budget overrun) *)
+  }
+
+  let derive_auditor runtime ~envelope ~link_rate =
+    let envelopes =
+      List.map
+        (fun (tn : Tenant.t) -> (tn.Tenant.id, envelope tn))
+        (Runtime.tenants runtime)
+    in
+    let plan = Runtime.plan runtime in
+    create ~objectives:(derive ~plan ~envelopes ~link_rate ()) ()
+
+  let mirror w (tn : Tenant.t) =
+    let tel = Runtime.telemetry w.runtime in
+    if Engine.Telemetry.is_enabled tel then begin
+      let id = tn.Tenant.id in
+      let set fmt =
+        Printf.ksprintf
+          (fun name ->
+            Engine.Telemetry.Gauge.set (Engine.Telemetry.gauge tel name))
+          fmt
+      in
+      (match status w.auditor ~tenant_id:id with
+      | None -> ()
+      | Some st ->
+        set "slo.tenant.%d.fast_burn" id st.fast_burn;
+        set "slo.tenant.%d.slow_burn" id st.slow_burn;
+        set "slo.tenant.%d.budget_remaining" id st.budget_remaining;
+        set "slo.tenant.%d.delay_quantile_seconds" id st.observed_delay);
+      set "health.tenant.%d.state" id
+        (match Engine.Health.state w.health ~id with
+        | Engine.Health.Healthy -> 0.
+        | Engine.Health.Degraded -> 1.
+        | Engine.Health.Violating -> 2.)
+    end
+
+  let watch_tenant w (tn : Tenant.t) =
+    Engine.Health.watch w.health ~id:tn.Tenant.id ~name:tn.Tenant.name;
+    mirror w tn
+
+  (* Objectives follow the plan; health follows the population (existing
+     tenants keep their strikes across a re-synthesis). *)
+  let rebuild w =
+    w.auditor <-
+      derive_auditor w.runtime ~envelope:w.envelope ~link_rate:w.link_rate;
+    Hashtbl.reset w.since_spike;
+    let tenants = Runtime.tenants w.runtime in
+    let watched = Engine.Health.states w.health in
+    List.iter
+      (fun (id, _, _) ->
+        if not (List.exists (fun (tn : Tenant.t) -> tn.Tenant.id = id) tenants)
+        then Engine.Health.unwatch w.health ~id)
+      watched;
+    List.iter
+      (fun (tn : Tenant.t) ->
+        if not (List.exists (fun (id, _, _) -> id = tn.Tenant.id) watched) then
+          watch_tenant w tn)
+      tenants
+
+  let create ?alerts ?on_transition ~envelope ~link_rate ~sim runtime =
+    let w =
+      {
+        runtime;
+        envelope;
+        link_rate;
+        sim;
+        health = Engine.Health.create ?alerts ?on_transition ();
+        auditor = derive_auditor runtime ~envelope ~link_rate;
+        since_spike = Hashtbl.create 4;
+        spikes = Hashtbl.create 4;
+      }
+    in
+    List.iter (watch_tenant w) (Runtime.tenants runtime);
+    Runtime.on_redeploy runtime (fun () -> rebuild w);
+    w
+
+  let on_enqueue w p = on_enqueue w.auditor p
+
+  let on_drop w p = on_drop w.auditor p
+
+  let on_dequeue w (p : Sched.Packet.t) =
+    on_delay w.auditor ~tenant_id:p.Sched.Packet.tenant
+      (Engine.Sim.now w.sim -. p.Sched.Packet.enqueued_at)
+
+  let on_tie_inversion w (p : Sched.Packet.t) =
+    on_tie_inversion w.auditor ~tenant_id:p.Sched.Packet.tenant
+
+  let audit_rank_errors w =
+    Preprocessor.set_on_rank_error (Runtime.preprocessor w.runtime)
+      (fun tenant_id e -> on_rank_error w.auditor ~tenant_id e)
+
+  let drop_spike w ~link_id =
+    let worst = ref (-1, 0, 0.) in
+    List.iter
+      (fun (st : status) ->
+        let id = st.objective.tenant.Tenant.id in
+        let pd, pa =
+          Option.value (Hashtbl.find_opt w.since_spike id) ~default:(0, 0)
+        in
+        Hashtbl.replace w.since_spike id (st.drops, st.attempts);
+        let ddrops = st.drops - pd in
+        let dattempts = max 1 (st.attempts - pa) in
+        let over =
+          float_of_int ddrops /. float_of_int dattempts /. st.objective.drop_budget
+        in
+        let _, _, worst_over = !worst in
+        if ddrops > 0 && over > worst_over then worst := (id, ddrops, over))
+      (statuses w.auditor);
+    let id, ddrops, over = !worst in
+    match Hashtbl.find_opt w.spikes id with
+    | _ when over <= 1. -> ()
+    | Some (_, queued) when queued >= over -> ()
+    | Some _ | None ->
+      let detail =
+        Printf.sprintf "port %d drop spike (+%d tenant drops, %.1fx over budget)"
+          link_id ddrops over
+      in
+      Hashtbl.replace w.spikes id (detail, over)
+
+  let tick ?(react = fun (_ : Tenant.t) (_ : Engine.Health.state) -> ()) w =
+    let time = Engine.Sim.now w.sim in
+    List.iter
+      (fun (tn : Tenant.t) ->
+        let id = tn.Tenant.id in
+        let observe ~source ~detail =
+          Engine.Health.observe w.health ~id ~time ~source ~detail
+        in
+        let signal, detail = evaluate w.auditor ~tenant_id:id in
+        observe ~source:"slo" ~detail signal;
+        (match Runtime.verdict w.runtime ~tenant_id:id with
+        | Guard.Malicious _ ->
+          observe ~source:"guard" ~detail:"guard verdict: malicious"
+            Engine.Health.Breach
+        | Guard.Suspicious _ ->
+          observe ~source:"guard" ~detail:"guard verdict: suspicious"
+            Engine.Health.Warn
+        | Guard.Conforming -> ());
+        (match Hashtbl.find_opt w.spikes id with
+        | Some (detail, _) ->
+          Hashtbl.remove w.spikes id;
+          observe ~source:"recorder" ~detail Engine.Health.Warn
+        | None -> ());
+        react tn (Engine.Health.state w.health ~id);
+        mirror w tn)
+      (Runtime.tenants w.runtime)
+
+  let auditor w = w.auditor
+
+  let health w = w.health
+end

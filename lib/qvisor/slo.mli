@@ -143,3 +143,69 @@ val objectives : t -> objective list
 val pp_objective : Format.formatter -> objective -> unit
 
 val pp_status : Format.formatter -> status -> unit
+
+(** {1 The SLO watch}
+
+    The one audit loop every deployment of the box runs.  A watch derives
+    the objectives of a {!Runtime}'s plan, owns the auditor and an
+    {!Engine.Health} machine over the runtime's tenants, and follows the
+    runtime: after every re-synthesis the objectives are re-derived (a
+    fresh auditor, before the next packet is audited), and health starts
+    or stops watching tenants that joined or left — the others keep their
+    strikes. *)
+module Watch : sig
+  type slo := t
+
+  type t
+
+  val create :
+    ?alerts:out_channel ->
+    ?on_transition:(Engine.Health.transition -> unit) ->
+    envelope:(Tenant.t -> Latency.envelope) ->
+    link_rate:float ->
+    sim:Engine.Sim.t ->
+    Runtime.t ->
+    t
+  (** [envelope] and [link_rate] feed {!derive}'s delay bounds; [sim] is
+      the clock that stamps sojourns and health transitions; [alerts] and
+      [on_transition] go to {!Engine.Health.create}.  Gauges are mirrored
+      (see {!tick}) at once when the runtime's registry is enabled. *)
+
+  val on_enqueue : t -> Sched.Packet.t -> unit
+  (** The four per-hop taps of {!Netsim.Net.create}. *)
+
+  val on_dequeue : t -> Sched.Packet.t -> unit
+  (** Feeds [now - enqueued_at] as the packet's sojourn. *)
+
+  val on_drop : t -> Sched.Packet.t -> unit
+
+  val on_tie_inversion : t -> Sched.Packet.t -> unit
+
+  val audit_rank_errors : t -> unit
+  (** Also feed the runtime pre-processor's rank-error samples. *)
+
+  val drop_spike : t -> link_id:int -> unit
+  (** A flight-recorder drop spike on a port (a {!Netsim.Net.create}
+      [on_anomaly] firing).  It is attributed to the tenant whose drop rate
+      since the previous spike overran its own budget the most, and queued
+      as a ["recorder"] warn for the next {!tick}.  A spike every objective
+      absorbs (a strictly-lower tier evicted by design of [>>]) is the
+      policy working and is ignored; between two ticks only the worst
+      overrun per tenant is kept, so a trigger re-firing every cooldown
+      cannot swamp the hysteresis. *)
+
+  val tick : ?react:(Tenant.t -> Engine.Health.state -> unit) -> t -> unit
+  (** For each tenant, in deployment order: fold the {!evaluate} signal
+      (source ["slo"]), the guard's verdict (["guard"]: malicious is a
+      breach, suspicious a warn) and any queued drop spike into health;
+      call [react] with the new state (the daemon's remediation — it may
+      re-synthesize); then, with an enabled registry, mirror the
+      [slo.tenant.<id>.{fast_burn,slow_burn,budget_remaining,
+      delay_quantile_seconds}] and [health.tenant.<id>.state]
+      (0 healthy, 1 degraded, 2 violating) gauges. *)
+
+  val auditor : t -> slo
+  (** The current plan's auditor. *)
+
+  val health : t -> Engine.Health.t
+end

@@ -151,6 +151,22 @@ let test_duration_reject () =
       | Ok v -> Alcotest.failf "%S should be rejected (got %g)" s v)
     [ ""; "0"; "0s"; "-1s"; "abc"; "1h"; "ms"; "nan"; "inf" ]
 
+(* The --trace-sample converter: a probability, checked at parse time. *)
+let test_probability_parse () =
+  let parse = Cmdliner.Arg.conv_parser Cliopts.probability in
+  List.iter
+    (fun (s, expected) ->
+      match parse s with
+      | Ok v -> Alcotest.(check (float 0.)) (Printf.sprintf "%S" s) expected v
+      | Error (`Msg e) -> Alcotest.failf "%S should parse: %s" s e)
+    [ ("0", 0.); ("1", 1.); ("0.25", 0.25); ("1.0", 1.); ("1e-3", 1e-3) ];
+  List.iter
+    (fun s ->
+      match parse s with
+      | Error _ -> ()
+      | Ok v -> Alcotest.failf "%S should be rejected (got %g)" s v)
+    [ ""; "-0.1"; "1.5"; "abc"; "nan"; "inf"; "-inf" ]
+
 (* ------------------------------------------------------------------ *)
 (* Remediation hysteresis                                             *)
 (* ------------------------------------------------------------------ *)
@@ -676,6 +692,11 @@ let () =
         [
           Alcotest.test_case "accepted forms" `Quick test_duration_parse;
           Alcotest.test_case "rejected forms" `Quick test_duration_reject;
+        ] );
+      ( "probability",
+        [
+          Alcotest.test_case "accepted and rejected forms" `Quick
+            test_probability_parse;
         ] );
       ( "remediation",
         [

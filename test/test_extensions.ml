@@ -845,7 +845,7 @@ let test_permutation_all_hosts_send () =
   Alcotest.(check bool) "some flows completed" true (List.length !sources >= 2)
 
 (* ------------------------------------------------------------------ *)
-(* Hypervisor hot-swap under live traffic                             *)
+(* Runtime hot-swap under live traffic                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_hypervisor_hot_swap_live_fabric () =
@@ -860,19 +860,19 @@ let test_hypervisor_hot_swap_live_fabric () =
   let sim = Engine.Sim.create () in
   let transport = Netsim.Transport.create ~sim () in
   let hv =
-    Qvisor.Hypervisor.create_exn
+    Qvisor.Runtime.create_exn ~guard:Qvisor.Guard.default_config
       ~tenants:
         [
           Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_hi:30_000 ~id:0
             ~name:"T1" ();
           Qvisor.Tenant.make ~algorithm:"edf" ~rank_hi:150 ~id:1 ~name:"T2" ();
         ]
-      ~policy:"T1 + T2" ()
+      ~policy:(Qvisor.Policy.parse_exn "T1 + T2") ()
   in
   let net =
     Netsim.Net.create ~sim ~topo ~routing
       ~make_qdisc:(fun _ -> Sched.Pifo_queue.create ~capacity_pkts:100 ())
-      ~preprocess:(Qvisor.Hypervisor.process hv)
+      ~preprocess:(Qvisor.Runtime.process hv)
       ~deliver:(Netsim.Transport.deliver transport)
       ()
   in
@@ -895,10 +895,10 @@ let test_hypervisor_hot_swap_live_fabric () =
   ignore
     (Engine.Sim.schedule_at sim ~time:0.001 (fun () ->
          (match
-            Qvisor.Hypervisor.add_tenant hv
+            Qvisor.Runtime.add_tenant hv
               (Qvisor.Tenant.make ~algorithm:"stfq" ~rank_hi:5_000 ~id:2
                  ~name:"T3" ())
-              ~policy:"T1 + T2 >> T3" ()
+              ~policy:(Qvisor.Policy.parse_exn "T1 + T2 >> T3") ()
           with
          | Ok () -> ()
          | Error e -> Alcotest.failf "hot add failed: %s" (Qvisor.Error.to_string e));
@@ -911,8 +911,8 @@ let test_hypervisor_hot_swap_live_fabric () =
   (* The swapped plan actually governs the data path now. *)
   let p_new = Sched.Packet.make ~tenant:2 ~rank:0 ~flow:9 ~size:1000 () in
   let p_old = Sched.Packet.make ~tenant:0 ~rank:30_000 ~flow:9 ~size:1000 () in
-  Qvisor.Hypervisor.process hv p_new;
-  Qvisor.Hypervisor.process hv p_old;
+  Qvisor.Runtime.process hv p_new;
+  Qvisor.Runtime.process hv p_old;
   Alcotest.(check bool) "post-swap isolation" true
     (p_old.Sched.Packet.rank < p_new.Sched.Packet.rank)
 

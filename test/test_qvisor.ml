@@ -837,128 +837,180 @@ let test_runtime_swap_preserves_isolation () =
   Alcotest.(check bool) "T3's worst beats T1's best after swap" true
     (p3.Sched.Packet.rank < p1.Sched.Packet.rank)
 
+let test_runtime_observed_range_paths () =
+  (* The guarded and unguarded paths record the same raw-label range, and
+     [refresh] / [remove_tenant] reset it. *)
+  let make ?guard () =
+    Qvisor.Runtime.create_exn ?guard ~tenants:(runtime_tenants ())
+      ~policy:(parse "T1 >> T2") ()
+  in
+  let plain = make () and guarded = make ~guard:Qvisor.Guard.default_config () in
+  let feed rt =
+    List.iter
+      (fun (tenant, rank) -> Qvisor.Runtime.process rt (mk_packet ~tenant ~rank))
+      [ (1, 500); (1, 100); (2, 7); (1, 900); (2, 3); (1, 5000) ]
+  in
+  feed plain;
+  feed guarded;
+  let range rt id = Qvisor.Runtime.observed_range rt ~tenant_id:id in
+  List.iter
+    (fun id ->
+      Alcotest.(check (option (pair int int)))
+        (Printf.sprintf "tenant %d: same range on both paths" id)
+        (range plain id) (range guarded id))
+    [ 1; 2; 3 ];
+  Alcotest.(check (option (pair int int))) "out-of-spec label kept raw"
+    (Some (100, 5000)) (range guarded 1);
+  List.iter
+    (fun rt ->
+      (match Qvisor.Runtime.remove_tenant rt ~tenant_id:2 ~policy:(parse "T1") () with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "remove: %s" (Qvisor.Error.to_string e));
+      Alcotest.(check (option (pair int int))) "remove resets" None (range rt 2);
+      Alcotest.(check bool) "others kept" true (range rt 1 <> None);
+      (match Qvisor.Runtime.refresh rt with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "refresh: %s" (Qvisor.Error.to_string e));
+      Alcotest.(check (option (pair int int))) "refresh resets" None (range rt 1))
+    [ plain; guarded ]
+
 (* ------------------------------------------------------------------ *)
-(* Hypervisor facade                                                  *)
+(* The assembled box (Runtime + guard + the analysis/deploy stack)    *)
 (* ------------------------------------------------------------------ *)
 
-let hypervisor () =
-  Qvisor.Hypervisor.create_exn
+let hypervisor ?guard () =
+  Qvisor.Runtime.create_exn ?guard
     ~tenants:
       [
         mk_tenant ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:1000 1 "T1";
         mk_tenant ~algorithm:"edf" ~rank_lo:0 ~rank_hi:100 2 "T2";
       ]
-    ~policy:"T1 >> T2" ()
+    ~policy:(parse "T1 >> T2") ()
 
 let test_hv_create_and_process () =
-  let hv = hypervisor () in
+  let hv = hypervisor ~guard:Qvisor.Guard.default_config () in
   let p1 = mk_packet ~tenant:1 ~rank:500 in
   let p2 = mk_packet ~tenant:2 ~rank:0 in
-  Qvisor.Hypervisor.process hv p1;
-  Qvisor.Hypervisor.process hv p2;
-  Alcotest.(check int) "processed" 2 (Qvisor.Hypervisor.packets_processed hv);
+  Qvisor.Runtime.process hv p1;
+  Qvisor.Runtime.process hv p2;
+  Alcotest.(check int) "processed" 2
+    (Qvisor.Preprocessor.processed (Qvisor.Runtime.preprocessor hv));
   Alcotest.(check bool) "T1 beats T2 after transformation" true
     (p1.Sched.Packet.rank < p2.Sched.Packet.rank)
 
 let test_hv_bad_policy () =
   Alcotest.(check bool) "parse error surfaces" true
+    (Result.is_error (Qvisor.Policy.parse "T1 >>"));
+  Alcotest.(check bool) "unknown tenant surfaces" true
     (Result.is_error
-       (Qvisor.Hypervisor.create
+       (Qvisor.Runtime.create
           ~tenants:[ mk_tenant 1 "T1" ]
-          ~policy:"T1 >>" ()))
+          ~policy:(parse "T1 >> T9") ()))
 
 let test_hv_analysis_and_scheduler () =
   let hv = hypervisor () in
-  let report = Qvisor.Hypervisor.analyze hv in
+  let report = Qvisor.Analysis.check (Qvisor.Runtime.plan hv) in
   Alcotest.(check bool) "feasible" true report.Qvisor.Analysis.feasible;
   let q =
-    Qvisor.Hypervisor.make_scheduler_exn hv
+    Qvisor.Deploy.instantiate_exn ~plan:(Qvisor.Runtime.plan hv)
       (Qvisor.Deploy.Ideal_pifo { capacity_pkts = 16 })
   in
   let p = mk_packet ~tenant:1 ~rank:0 in
-  Qvisor.Hypervisor.process hv p;
+  Qvisor.Runtime.process hv p;
   ignore (q.Sched.Qdisc.enqueue p);
   Alcotest.(check int) "scheduler usable" 1 (q.Sched.Qdisc.length ())
 
 let test_hv_guard_integration () =
   let hv =
-    Qvisor.Hypervisor.create_exn
+    Qvisor.Runtime.create_exn
       ~guard:{ Qvisor.Guard.default_config with window = 10 }
       ~tenants:
         [
           mk_tenant ~rank_lo:0 ~rank_hi:100 1 "honest";
           mk_tenant ~rank_lo:0 ~rank_hi:100 2 "attacker";
         ]
-      ~policy:"honest + attacker" ()
+      ~policy:(parse "honest + attacker") ()
   in
   (* Attacker floods best ranks for three windows. *)
   for _ = 1 to 30 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:2 ~rank:0)
+    Qvisor.Runtime.process hv (mk_packet ~tenant:2 ~rank:0)
   done;
-  (match Qvisor.Hypervisor.verdict hv ~tenant_id:2 with
+  (match Qvisor.Runtime.verdict hv ~tenant_id:2 with
   | Qvisor.Guard.Malicious _ -> ()
   | _ -> Alcotest.fail "attacker not flagged");
   (* Next attack packet is parked behind honest traffic. *)
   let attack = mk_packet ~tenant:2 ~rank:0 in
   let honest = mk_packet ~tenant:1 ~rank:99 in
-  Qvisor.Hypervisor.process hv attack;
-  Qvisor.Hypervisor.process hv honest;
+  Qvisor.Runtime.process hv attack;
+  Qvisor.Runtime.process hv honest;
   Alcotest.(check bool) "honest worst beats parked attacker" true
     (honest.Sched.Packet.rank <= attack.Sched.Packet.rank)
 
 let test_hv_unguarded () =
   let hv =
-    Qvisor.Hypervisor.create_exn ~guarded:false
+    Qvisor.Runtime.create_exn
       ~tenants:[ mk_tenant ~rank_lo:0 ~rank_hi:100 1 "T1" ]
-      ~policy:"T1" ()
+      ~policy:(parse "T1") ()
   in
   for _ = 1 to 100 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:1 ~rank:0)
+    Qvisor.Runtime.process hv (mk_packet ~tenant:1 ~rank:0)
   done;
   Alcotest.(check bool) "no guard, always conforming" true
-    (Qvisor.Hypervisor.verdict hv ~tenant_id:1 = Qvisor.Guard.Conforming)
+    (Qvisor.Runtime.verdict hv ~tenant_id:1 = Qvisor.Guard.Conforming)
 
 let test_hv_churn () =
-  let hv = hypervisor () in
+  let hv =
+    hypervisor ~guard:{ Qvisor.Guard.default_config with window = 10 } ()
+  in
   let t3 = mk_tenant ~rank_lo:0 ~rank_hi:50 3 "T3" in
-  (match Qvisor.Hypervisor.add_tenant hv t3 ~policy:"T1 >> T2 >> T3" () with
+  (match Qvisor.Runtime.add_tenant hv t3 ~policy:(parse "T1 >> T2 >> T3") () with
   | Ok () -> ()
   | Error e -> Alcotest.failf "add: %s" (Qvisor.Error.to_string e));
   Alcotest.(check int) "three tenants planned" 3
-    (List.length (Qvisor.Hypervisor.plan hv).Qvisor.Synthesizer.assignments);
-  (match Qvisor.Hypervisor.remove_tenant hv ~tenant_id:3 ~policy:"T1 >> T2" () with
+    (List.length (Qvisor.Runtime.plan hv).Qvisor.Synthesizer.assignments);
+  (* The guard watches the newcomer: out-of-range ranks get it flagged. *)
+  for _ = 1 to 30 do
+    Qvisor.Runtime.process hv (mk_packet ~tenant:3 ~rank:5000)
+  done;
+  Alcotest.(check bool) "newcomer guarded" true
+    (Qvisor.Runtime.verdict hv ~tenant_id:3 <> Qvisor.Guard.Conforming);
+  (match Qvisor.Runtime.remove_tenant hv ~tenant_id:3 ~policy:(parse "T1 >> T2") () with
   | Ok () -> ()
   | Error e -> Alcotest.failf "remove: %s" (Qvisor.Error.to_string e));
+  Alcotest.(check bool) "departed tenant forgotten by the guard" true
+    (Qvisor.Runtime.verdict hv ~tenant_id:3 = Qvisor.Guard.Conforming);
   Alcotest.(check bool) "bad policy on churn rejected" true
-    (Result.is_error (Qvisor.Hypervisor.add_tenant hv t3 ~policy:"T1 >>" ()))
+    (Result.is_error
+       (Qvisor.Runtime.add_tenant hv t3 ~policy:(parse "T1 >> T9") ()))
 
 let test_hv_delay_bounds_and_pipeline () =
   let hv = hypervisor () in
+  let plan = Qvisor.Runtime.plan hv in
   let bounds =
-    Qvisor.Hypervisor.delay_bounds hv
+    Qvisor.Latency.report ~plan
       ~envelopes:[ (1, Qvisor.Latency.envelope ~sigma:10_000. ~rho:1e6) ]
-      ~link_rate:1e9
+      ~link_rate:1e9 ()
   in
   Alcotest.(check int) "bound per tenant" 2 (List.length bounds);
-  (match Qvisor.Hypervisor.compile_pipeline hv () with
+  (match Qvisor.Pipeline.compile plan with
   | Ok program ->
     Alcotest.(check int) "pipeline entries" 2
       (List.length program.Qvisor.Pipeline.entries)
   | Error e -> Alcotest.failf "pipeline: %s" e)
 
 let test_hv_refresh () =
-  let hv = hypervisor () in
+  let hv = hypervisor ~guard:Qvisor.Guard.default_config () in
   for rank = 0 to 9 do
-    Qvisor.Hypervisor.process hv (mk_packet ~tenant:1 ~rank)
+    Qvisor.Runtime.process hv (mk_packet ~tenant:1 ~rank)
   done;
-  Qvisor.Hypervisor.process hv (mk_packet ~tenant:2 ~rank:50);
-  (match Qvisor.Hypervisor.refresh hv with
+  Qvisor.Runtime.process hv (mk_packet ~tenant:2 ~rank:50);
+  (match Qvisor.Runtime.refresh hv with
   | Ok () -> ()
   | Error e -> Alcotest.failf "refresh: %s" (Qvisor.Error.to_string e));
   let a =
     List.find
       (fun a -> a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.id = 1)
-      (Qvisor.Hypervisor.plan hv).Qvisor.Synthesizer.assignments
+      (Qvisor.Runtime.plan hv).Qvisor.Synthesizer.assignments
   in
   Alcotest.(check int) "observed range adopted" 9
     a.Qvisor.Synthesizer.tenant.Qvisor.Tenant.rank_hi
@@ -1150,5 +1202,7 @@ let () =
           Alcotest.test_case "duplicate rejected" `Quick test_runtime_add_duplicate_rejected;
           Alcotest.test_case "refresh tightens" `Quick test_runtime_refresh_tightens;
           Alcotest.test_case "swap preserves isolation" `Quick test_runtime_swap_preserves_isolation;
+          Alcotest.test_case "observed range on both paths" `Quick
+            test_runtime_observed_range_paths;
         ] );
     ]

@@ -19,6 +19,185 @@ let plan_of policy =
     ()
 
 (* ------------------------------------------------------------------ *)
+(* The SLO watch                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let watch_tenants () =
+  [
+    Qvisor.Tenant.make ~algorithm:"pfabric" ~rank_lo:0 ~rank_hi:30_000 ~id:0
+      ~name:"T1" ();
+    Qvisor.Tenant.make ~algorithm:"edf" ~rank_lo:0 ~rank_hi:100 ~id:1
+      ~name:"T2" ();
+  ]
+
+let watch_of ?guard ?on_transition ?(telemetry = Engine.Telemetry.disabled)
+    policy =
+  let runtime =
+    Qvisor.Runtime.create_exn ~telemetry ?guard ~tenants:(watch_tenants ())
+      ~policy:(Qvisor.Policy.parse_exn policy) ()
+  in
+  let sim = Engine.Sim.create () in
+  let watch =
+    Slo.Watch.create ?on_transition
+      ~envelope:(fun _ -> Qvisor.Latency.envelope ~sigma:151_800. ~rho:1e7)
+      ~link_rate:1e9 ~sim runtime
+  in
+  (runtime, watch)
+
+let test_watch_follows_runtime () =
+  let tel = Engine.Telemetry.create () in
+  let runtime, w = watch_of ~telemetry:tel "T1 >> T2" in
+  let ok what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Qvisor.Error.to_string e)
+  in
+  let watched () =
+    List.map (fun (id, _, _) -> id) (Health.states (Slo.Watch.health w))
+  in
+  let objective id =
+    List.find
+      (fun (o : Slo.objective) -> o.Slo.tenant.Qvisor.Tenant.id = id)
+      (Slo.objectives (Slo.Watch.auditor w))
+  in
+  (* Every change must swap in a fresh auditor whose objectives match the
+     runtime's new plan, and leave health watching exactly its tenants. *)
+  let check what =
+    let ids =
+      List.map (fun (tn : Qvisor.Tenant.t) -> tn.Qvisor.Tenant.id)
+        (Qvisor.Runtime.tenants runtime)
+    in
+    Alcotest.(check (list int)) (what ^ ": objectives") ids
+      (List.map
+         (fun (o : Slo.objective) -> o.Slo.tenant.Qvisor.Tenant.id)
+         (Slo.objectives (Slo.Watch.auditor w)));
+    Alcotest.(check (list int)) (what ^ ": health") ids (watched ());
+    let expected =
+      Slo.derive ~plan:(Qvisor.Runtime.plan runtime)
+        ~envelopes:
+          (List.map
+             (fun id -> (id, Qvisor.Latency.envelope ~sigma:151_800. ~rho:1e7))
+             ids)
+        ~link_rate:1e9 ()
+    in
+    List.iter2
+      (fun (e : Slo.objective) (o : Slo.objective) ->
+        Alcotest.(check (float 1e-12)) (what ^ ": drop budget") e.Slo.drop_budget
+          o.Slo.drop_budget;
+        Alcotest.(check (float 1e-12))
+          (what ^ ": rank-error budget") e.Slo.rank_error_budget
+          o.Slo.rank_error_budget;
+        Alcotest.(check int) (what ^ ": declared range") e.Slo.tenant.Qvisor.Tenant.rank_hi
+          o.Slo.tenant.Qvisor.Tenant.rank_hi)
+      expected
+      (Slo.objectives (Slo.Watch.auditor w))
+  in
+  let fresh what f =
+    let before = Slo.Watch.auditor w in
+    f ();
+    Alcotest.(check bool) (what ^ ": auditor replaced") true
+      (before != Slo.Watch.auditor w);
+    check what
+  in
+  check "create";
+  Alcotest.(check bool) "gauges mirrored at create" true
+    (List.mem_assoc "health.tenant.1.state" (Engine.Telemetry.exported_gauges tel));
+  (* Strikes survive re-synthesis: only joins and departures touch
+     health. *)
+  Health.observe (Slo.Watch.health w) ~id:0 ~time:0. Health.Warn;
+  let t3 =
+    Qvisor.Tenant.make ~algorithm:"stfq" ~rank_lo:0 ~rank_hi:50 ~id:2 ~name:"T3" ()
+  in
+  fresh "add" (fun () ->
+      ok "add"
+        (Qvisor.Runtime.add_tenant runtime t3
+           ~policy:(Qvisor.Policy.parse_exn "T1 >> T2 >> T3") ()));
+  Alcotest.(check bool) "newcomer mirrored" true
+    (List.mem_assoc "health.tenant.2.state" (Engine.Telemetry.exported_gauges tel));
+  Alcotest.(check (float 1e-12)) "T3 below a strict edge" 0.5
+    (objective 2).Slo.drop_budget;
+  fresh "update" (fun () ->
+      ok "update"
+        (Qvisor.Runtime.update_policy runtime
+           (Qvisor.Policy.parse_exn "T3 >> T1 >> T2")));
+  Alcotest.(check (float 1e-12)) "T3 now on top" 0.02 (objective 2).Slo.drop_budget;
+  List.iter
+    (fun rank ->
+      Qvisor.Runtime.process runtime
+        (Sched.Packet.make ~tenant:0 ~rank ~flow:0 ~size:1000 ()))
+    [ 10; 200 ];
+  fresh "refresh" (fun () -> ok "refresh" (Qvisor.Runtime.refresh runtime));
+  Alcotest.(check int) "objective follows the observed range" 200
+    (objective 0).Slo.tenant.Qvisor.Tenant.rank_hi;
+  fresh "coarsen" (fun () -> ok "coarsen" (Qvisor.Runtime.coarsen runtime ~levels:4));
+  fresh "remove" (fun () ->
+      ok "remove"
+        (Qvisor.Runtime.remove_tenant runtime ~tenant_id:1
+           ~policy:(Qvisor.Policy.parse_exn "T3 >> T1") ()));
+  Alcotest.(check int) "strikes kept across re-syntheses" 1
+    (Health.strikes (Slo.Watch.health w) ~id:0);
+  (* A rejected change leaves everything in place. *)
+  let before = Slo.Watch.auditor w in
+  Alcotest.(check bool) "bad update rejected" true
+    (Result.is_error
+       (Qvisor.Runtime.update_policy runtime (Qvisor.Policy.parse_exn "T1 >> T9")));
+  Alcotest.(check bool) "auditor kept on failure" true (before == Slo.Watch.auditor w)
+
+let test_watch_tick_folds_signals () =
+  let transitions = ref [] in
+  let runtime, w =
+    watch_of
+      ~guard:{ Qvisor.Guard.default_config with window = 10 }
+      ~on_transition:(fun tr -> transitions := tr :: !transitions)
+      "T1 >> T2"
+  in
+  let health = Slo.Watch.health w in
+  let pkt tenant rank = Sched.Packet.make ~tenant ~rank ~flow:0 ~size:1000 () in
+  (* T1 ranks far outside its declared range: the guard flags it. *)
+  for _ = 1 to 30 do
+    Qvisor.Runtime.process runtime (pkt 0 50_000)
+  done;
+  (* T2 (budget 0.5 below the strict edge) loses nothing for 1000
+     attempts, then 10 of 10 (2x its budget since the previous spike),
+     then 6 of 10 (1.2x): the worse spike is the one queued. *)
+  let traffic ~attempts ~drops =
+    for i = 1 to attempts do
+      let p = pkt 1 5 in
+      Slo.Watch.on_enqueue w p;
+      if i <= drops then Slo.Watch.on_drop w p
+    done
+  in
+  traffic ~attempts:1000 ~drops:0;
+  Slo.Watch.drop_spike w ~link_id:2;
+  traffic ~attempts:10 ~drops:10;
+  Slo.Watch.drop_spike w ~link_id:3;
+  traffic ~attempts:10 ~drops:6;
+  Slo.Watch.drop_spike w ~link_id:4;
+  (* Two strikes up front, so the spike's warn shows as a transition. *)
+  Health.observe health ~id:1 ~time:0. Health.Warn;
+  Health.observe health ~id:1 ~time:0. Health.Warn;
+  transitions := [];
+  let reacted = ref [] in
+  Slo.Watch.tick w ~react:(fun tn state ->
+      reacted := (tn.Qvisor.Tenant.id, state) :: !reacted);
+  Alcotest.(check int) "guard breach" 2 (Health.strikes health ~id:0);
+  Alcotest.(check (list (pair string string)))
+    "slo pass, then the worst spike's warn"
+    [
+      ("guard", "guard verdict: malicious");
+      ("slo", "within objectives");
+      ("recorder", "port 3 drop spike (+10 tenant drops, 2.0x over budget)");
+    ]
+    (List.rev_map
+       (fun (tr : Health.transition) -> (tr.Health.tr_source, tr.Health.tr_detail))
+       !transitions);
+  Alcotest.(check (list int)) "react sees every tenant in order" [ 0; 1 ]
+    (List.rev_map fst !reacted);
+  Slo.Watch.tick w;
+  Alcotest.(check int) "spike consumed" 1 (Health.strikes health ~id:1);
+  (* A clean SLO pass clears one strike, the guard breach adds two. *)
+  Alcotest.(check int) "guard keeps breaching" 3 (Health.strikes health ~id:0)
+
+(* ------------------------------------------------------------------ *)
 (* Objective derivation                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -407,6 +586,12 @@ let test_injected_fault_fails_gate () =
 let () =
   Alcotest.run "slo"
     [
+      ( "watch",
+        [
+          Alcotest.test_case "follows the runtime" `Quick test_watch_follows_runtime;
+          Alcotest.test_case "tick folds slo, guard and drop spikes" `Quick
+            test_watch_tick_folds_signals;
+        ] );
       ( "derive",
         [
           Alcotest.test_case "strict-edge sanity floor" `Quick
