@@ -618,6 +618,35 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
           Engine.Tsdb.observe store s ~time:!t (float_of_int i)
         done)
   in
+  (* The instrumentation hot path: one histogram observation (Stats plus
+     three P² sketches, as each packet hop pays for queue depth and
+     sojourn) and its two parts, fed a fixed heavy-tailed stream.  Each
+     call allocates only its boxed argument, so alloc B/op reads 16. *)
+  let samples =
+    let rng = Engine.Rng.create ~seed:11 in
+    Array.init 4096 (fun _ -> Engine.Rng.exponential rng ~mean:1e-4)
+  in
+  let bench_observe name observe =
+    bench name (fun n ->
+        for i = 1 to n do
+          observe samples.(i land 4095)
+        done)
+  in
+  let bench_histogram () =
+    let h =
+      Engine.Telemetry.histogram (Engine.Telemetry.create ()) "bench.histogram"
+    in
+    bench_observe "telemetry/histogram-observe"
+      (Engine.Telemetry.Histogram.observe h)
+  in
+  let bench_p2 () =
+    bench_observe "p2/add"
+      (Engine.P2_quantile.add (Engine.P2_quantile.create ~q:0.99))
+  in
+  let bench_stats () =
+    bench_observe "stats/add"
+      (Engine.Stats.add (Engine.Stats.create ~keep_samples:false ()))
+  in
   let entries =
     [
       bench_pifo ();
@@ -629,6 +658,9 @@ let run_engine ~trials ~min_time_s ~out ~mode () =
       bench_preprocessor ();
       bench_recorder ();
       bench_tsdb ();
+      bench_histogram ();
+      bench_p2 ();
+      bench_stats ();
     ]
   in
   List.iter

@@ -612,22 +612,26 @@ let query_body t params =
 (* Sockets                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ignore (Unix.select [] [ fd ] [] 0.05);
-      write_all fd s off len
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-let send fd s = write_all fd s 0 (String.length s)
-
 let close_conn c =
   if not c.closed then begin
     c.closed <- true;
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
+
+(* A peer that hung up before reading its reply (EPIPE, ECONNRESET; [serve]
+   ignores SIGPIPE, which would otherwise kill the daemon) costs only its
+   own connection, as does any other write error. *)
+let rec write_all c s off len =
+  if len > 0 then
+    match Unix.write_substring c.fd s off len with
+    | n -> write_all c s (off + n) (len - n)
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      ignore (Unix.select [] [ c.fd ] [] 0.05);
+      write_all c s off len
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all c s off len
+    | exception Unix.Unix_error _ -> close_conn c
+
+let send c s = write_all c s 0 (String.length s)
 
 let bind_control path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -682,8 +686,7 @@ let rec process_control_lines t c =
           | Error e -> Error e
           | Ok req -> handle_request t req
         in
-        try send c.fd (Proto.outcome_line outcome)
-        with Unix.Unix_error _ -> close_conn c
+        send c (Proto.outcome_line outcome)
       end;
       process_control_lines t c
 
@@ -708,7 +711,7 @@ let serve_http t c =
         | _ -> Http.not_found)
       | Ok _ -> Http.method_not_allowed
     in
-    (try send c.fd resp with Unix.Unix_error _ -> ());
+    send c resp;
     close_conn c
   end
 
@@ -882,6 +885,7 @@ let cleanup t =
   Option.iter flush t.config.audit
 
 let serve t =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Pacing anchor: the wall instant at which simulated time 0 "happened".
      Serving stays ahead of this clock only by the unserved slice. *)
   let wall0 = Unix.gettimeofday () -. Engine.Sim.now t.sim in

@@ -64,7 +64,9 @@ val serve : t -> unit
 (** Run the event loop until a [shutdown] request or {!stop}.  Closes and
     unlinks the sockets, flushes the sinks, and (for up to
     [drain_timeout] simulated seconds) lets in-flight flows finish on the
-    way out. *)
+    way out.  Sets SIGPIPE to be ignored for the whole process, so a
+    client that hangs up before reading its reply closes only its own
+    connection. *)
 
 val stop : t -> unit
 (** Request the loop to exit; safe to call from a signal handler or

@@ -24,7 +24,10 @@ let create ~q =
 
 let count t = t.n
 
-let parabolic t i d =
+(* [parabolic] and [linear] are inlined into [add] so their float
+   results stay unboxed, and the cell search is a loop rather than a
+   closure over [x]: one [add] allocates nothing. *)
+let[@inline] parabolic t i d =
   let h = t.heights and p = t.positions in
   h.(i)
   +. d
@@ -32,7 +35,7 @@ let parabolic t i d =
      *. (((p.(i) -. p.(i - 1) +. d) *. (h.(i + 1) -. h.(i)) /. (p.(i + 1) -. p.(i)))
         +. ((p.(i + 1) -. p.(i) -. d) *. (h.(i) -. h.(i - 1)) /. (p.(i) -. p.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let h = t.heights and p = t.positions in
   h.(i) +. (d *. (h.(i + int_of_float d) -. h.(i)) /. (p.(i + int_of_float d) -. p.(i)))
 
@@ -55,8 +58,11 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < t.heights.(i + 1) then i else find (i + 1) in
-        find 0
+        let k = ref 0 in
+        while not (x < t.heights.(!k + 1)) do
+          incr k
+        done;
+        !k
       end
     in
     for i = k + 1 to 4 do

@@ -159,7 +159,8 @@ let detach_sink t =
     flush s.oc;
     t.sink <- None
 
-let tracing t = t.sink <> None
+(* A match: [t.sink <> None] is a polymorphic compare, once per packet hop. *)
+let tracing t = match t.sink with Some _ -> true | None -> false
 
 let events_seen t = match t.sink with Some s -> s.seen | None -> 0
 

@@ -39,6 +39,8 @@ let fabric_rate = 4e9
 let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) params ~qvisor =
   Engine.Span.with_ profiler ~name:"churn.run" @@ fun () ->
+  (* Per-run packet uids, as in [Fig4.run]. *)
+  Sched.Packet.reset_uid_counter ();
   let num_hosts = params.leaves * params.hosts_per_leaf in
   let topo =
     Netsim.Topology.leaf_spine ~leaves:params.leaves ~spines:params.spines

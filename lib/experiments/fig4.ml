@@ -162,6 +162,10 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     ?(profiler = Engine.Span.disabled) ?flight ?on_anomaly ?(slo = false)
     ?alerts ?(on_tick = fun (_ : float) -> ()) ?(perf = true) params scheme =
   Engine.Span.with_ profiler ~name:"fig4.run" @@ fun () ->
+  (* Packet uids come from a domain-local counter; restarting it per run
+     makes them (and so a merged parallel trace) independent of which
+     runs a worker domain executed before this one. *)
+  Sched.Packet.reset_uid_counter ();
   let ( let* ) = Result.bind in
   let num_hosts = params.leaves * params.hosts_per_leaf in
   let topo, routing =

@@ -136,6 +136,9 @@ val run :
     sampled from [Gc.quick_stat] and a best-effort max-GC-pause monitor.
     [~perf:false] keeps the rest of the instrumentation identical while
     dropping this layer — how the overhead benchmark isolates its cost.
+    The run starts by resetting the domain's packet uid counter
+    ({!Sched.Packet.reset_uid_counter}), so its uids, and any trace it
+    writes, do not depend on earlier runs in the same domain.
     Fails with the policy/synthesis/deployment error when the scheme's
     QVISOR configuration is invalid — never by raising, so a run can
     execute on a worker domain. *)

@@ -51,7 +51,12 @@ type instruments = {
   tie_total : Tel.Counter.t;
   depth : Tel.Histogram.t; (* queue length (pkts) sampled after enqueue *)
   sojourn : Tel.Histogram.t; (* seconds from enqueue to start-of-tx *)
-  by_tenant : (int, tenant_counters) Hashtbl.t;
+  (* Dense by tenant id, grown on demand: three lookups per packet hop,
+     and an array probe (the option cells are allocated once, when the
+     tenant's counters are) allocates nothing where [Hashtbl.find_opt]
+     allocates its result.  Negative ids fall back to the side table. *)
+  mutable by_tenant : tenant_counters option array;
+  neg_tenants : (int, tenant_counters) Hashtbl.t;
 }
 
 type flight_config = {
@@ -126,23 +131,40 @@ let make_instruments tel ~num_ports =
     tie_total = Tel.counter tel "net.tie_inversions";
     depth = Tel.histogram tel "net.queue_depth_pkts";
     sojourn = Tel.histogram tel "net.sojourn_seconds";
-    by_tenant = Hashtbl.create 8;
+    by_tenant = Array.make 8 None;
+    neg_tenants = Hashtbl.create 1;
+  }
+
+let new_tenant_counters ins id =
+  let name what = Printf.sprintf "net.tenant.%d.%s" id what in
+  {
+    t_enq = Tel.counter ins.tel (name "enqueue");
+    t_deq = Tel.counter ins.tel (name "dequeue");
+    t_drop = Tel.counter ins.tel (name "drop");
   }
 
 let tenant_counters ins id =
-  match Hashtbl.find_opt ins.by_tenant id with
-  | Some c -> c
-  | None ->
-    let name what = Printf.sprintf "net.tenant.%d.%s" id what in
-    let c =
-      {
-        t_enq = Tel.counter ins.tel (name "enqueue");
-        t_deq = Tel.counter ins.tel (name "dequeue");
-        t_drop = Tel.counter ins.tel (name "drop");
-      }
-    in
-    Hashtbl.add ins.by_tenant id c;
-    c
+  if id >= 0 then begin
+    let n = Array.length ins.by_tenant in
+    if id >= n then begin
+      let bigger = Array.make (max (2 * n) (id + 1)) None in
+      Array.blit ins.by_tenant 0 bigger 0 n;
+      ins.by_tenant <- bigger
+    end;
+    match Array.unsafe_get ins.by_tenant id with
+    | Some c -> c
+    | None ->
+      let c = new_tenant_counters ins id in
+      ins.by_tenant.(id) <- Some c;
+      c
+  end
+  else
+    match Hashtbl.find_opt ins.neg_tenants id with
+    | Some c -> c
+    | None ->
+      let c = new_tenant_counters ins id in
+      Hashtbl.add ins.neg_tenants id c;
+      c
 
 let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
     ?preprocess ?(on_enqueue = fun _ -> ()) ?(on_dequeue = fun _ -> ())

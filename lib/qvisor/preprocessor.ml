@@ -86,12 +86,9 @@ let process_conditioned t ~conditioning (p : Sched.Packet.t) =
   p.Sched.Packet.rank <- Transform.apply transform conditioned;
   (match t.ins with
   | Some ins ->
-    (* Telemetry histograms are exact: every packet is observed. *)
-    let err =
-      Float.abs
-        (float_of_int p.Sched.Packet.rank
-        -. Transform.apply_exact transform conditioned)
-    in
+    (* Telemetry histograms are exact: every packet is observed.  [err]
+       arrives boxed from [rank_error], so both consumers share one box. *)
+    let err = Transform.rank_error transform conditioned in
     let in_table = id >= 0 && id < Array.length t.table in
     Engine.Telemetry.Counter.incr
       (if in_table then ins.table_hits else ins.fallback_hits);
@@ -100,10 +97,7 @@ let process_conditioned t ~conditioning (p : Sched.Packet.t) =
   | None -> (
     match t.on_rank_error with
     | Some f when t.processed mod t.rank_error_sample = 0 ->
-      f id
-        (Float.abs
-           (float_of_int p.Sched.Packet.rank
-           -. Transform.apply_exact transform conditioned))
+      f id (Transform.rank_error transform conditioned)
     | Some _ | None -> ()));
   t.processed <- t.processed + 1;
   if id < 0 then (

@@ -22,7 +22,7 @@ val of_plan :
     [preprocessor.table_hits] / [preprocessor.fallback_hits] count
     match-table entry vs fallback lookups, and [preprocessor.rank_error]
     is the live distribution of [|applied - ideal|] where {e ideal} is the
-    unquantized real-valued transformation ({!Transform.apply_exact}).
+    unquantized real-valued transformation ({!Transform.rank_error}).
 
     A tap installed with {!set_on_rank_error} receives such
     [(tenant_id, error)] samples as they are computed — the SLO

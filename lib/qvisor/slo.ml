@@ -20,11 +20,7 @@ let measured_rank_error plan (tenant : Tenant.t) =
       if samples = 1 then lo
       else lo + (i * width / (samples - 1))
     in
-    let err =
-      Float.abs
-        (float_of_int (Transform.apply transform r)
-        -. Transform.apply_exact transform r)
-    in
+    let err = Transform.rank_error transform r in
     if err > !worst then worst := err
   done;
   !worst

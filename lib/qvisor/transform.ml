@@ -49,25 +49,36 @@ let rec apply t r =
 
 (* The idealized (real-valued, unquantized) counterpart of [apply]: the
    same clamp-and-scale geometry, but with exact linear interpolation in
-   place of level quantization and integer division.  The gap between the
-   two is the rank-approximation error telemetry reports. *)
+   place of level quantization and integer division. *)
+let[@inline] normalize_exact ~src_lo ~src_hi ~dst_lo ~dst_hi x =
+  let x = Float.max (float_of_int src_lo) (Float.min (float_of_int src_hi) x) in
+  if src_hi = src_lo then float_of_int dst_lo
+  else
+    float_of_int dst_lo
+    +. (x -. float_of_int src_lo)
+       *. float_of_int (dst_hi - dst_lo)
+       /. float_of_int (src_hi - src_lo)
+
 let rec exactf t x =
   match t with
   | Identity -> x
   | Shift k -> x +. float_of_int k
   | Normalize { src_lo; src_hi; dst_lo; dst_hi; levels = _ } ->
-    let x =
-      Float.max (float_of_int src_lo) (Float.min (float_of_int src_hi) x)
-    in
-    if src_hi = src_lo then float_of_int dst_lo
-    else
-      float_of_int dst_lo
-      +. (x -. float_of_int src_lo)
-         *. float_of_int (dst_hi - dst_lo)
-         /. float_of_int (src_hi - src_lo)
+    normalize_exact ~src_lo ~src_hi ~dst_lo ~dst_hi x
   | Compose (f, g) -> exactf g (exactf f x)
 
-let apply_exact t r = exactf t (float_of_int r)
+(* The gap between [apply] and its exact counterpart is the
+   rank-approximation error telemetry reports, once per packet.  A plan's
+   transform is a single [Normalize]; that branch is inlined here, so the
+   returned error is the only float boxed. *)
+let rank_error t r =
+  let rank = float_of_int (apply t r) in
+  match t with
+  | Normalize { src_lo; src_hi; dst_lo; dst_hi; levels = _ } ->
+    Float.abs
+      (rank -. normalize_exact ~src_lo ~src_hi ~dst_lo ~dst_hi (float_of_int r))
+  | Identity | Shift _ | Compose _ ->
+    Float.abs (rank -. exactf t (float_of_int r))
 
 let rec range t (lo, hi) =
   if lo > hi then invalid_arg "Transform.range: empty interval";

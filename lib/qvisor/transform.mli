@@ -35,12 +35,13 @@ val compose : t -> t -> t
 val apply : t -> int -> int
 (** Transform one rank. *)
 
-val apply_exact : t -> int -> float
-(** The idealized real-valued transformation: the same clamped affine
-    map, but without level quantization or integer rounding.
-    [|float (apply t r) -. apply_exact t r|] is the rank-approximation
-    error the quantized data path introduces for rank [r] — the
-    distribution telemetry tracks live. *)
+val rank_error : t -> int -> float
+(** [rank_error t r] is [|float (apply t r) -. x|], where [x] is the
+    idealized real-valued image of [r]: the same clamped affine map, but
+    without level quantization or integer rounding.  It is the
+    rank-approximation error the quantized data path introduces for rank
+    [r] — the distribution telemetry tracks live.  On a single
+    [normalize] transform it allocates only its result. *)
 
 val range : t -> int * int -> int * int
 (** Image interval of an input rank interval (interval analysis used by

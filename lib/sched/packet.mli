@@ -65,7 +65,8 @@ val compare_rank : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val reset_uid_counter : unit -> unit
-(** Reset the calling domain's uid counter — for deterministic unit
-    tests only.  The counter is domain-local so that independent
-    simulations on parallel worker domains allocate uids (the rank
-    tie-breaker) deterministically. *)
+(** Reset the calling domain's uid counter.  [Fig4.run] and [Churn.run]
+    call it first, so a run's uids do not depend on which runs its worker
+    domain executed before.  The counter is domain-local so that
+    independent simulations on parallel worker domains allocate uids (the
+    rank tie-breaker) deterministically. *)

@@ -477,6 +477,40 @@ let test_socket_integration () =
   Alcotest.(check bool) "control socket unlinked" false
     (Sys.file_exists (Daemon.Server.socket_path t))
 
+(* A control client that sends a request and hangs up without reading
+   the reply: the daemon's write then fails with EPIPE (and, unless
+   ignored, SIGPIPE would kill the whole process).  A hundred of them in a
+   row must leave the daemon serving. *)
+let test_client_hangs_up () =
+  let t = temp_server () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let rec go tries =
+      try Unix.connect fd (Unix.ADDR_UNIX (Daemon.Server.socket_path t))
+      with Unix.Unix_error _ when tries > 0 ->
+        Unix.sleepf 0.05;
+        go (tries - 1)
+    in
+    go 40;
+    fd
+  in
+  for _ = 1 to 100 do
+    let fd = connect () in
+    send_line fd "{\"op\":\"status\"}\n";
+    Unix.close fd
+  done;
+  let fd = connect () in
+  (match rpc fd Daemon.Proto.Status with
+  | Ok (Daemon.Proto.Status_reply st) ->
+    Alcotest.(check int) "still at epoch 1" 1 st.Daemon.Proto.epoch
+  | _ -> Alcotest.fail "status after 100 hang-ups");
+  (match rpc fd Daemon.Proto.Shutdown with
+  | Ok Daemon.Proto.Shutting_down -> ()
+  | _ -> Alcotest.fail "shutdown must be acknowledged");
+  Unix.close fd;
+  Thread.join server_thread
+
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
 (* ------------------------------------------------------------------ *)
@@ -724,6 +758,8 @@ let () =
         [
           Alcotest.test_case "end-to-end over the wire" `Slow
             test_socket_integration;
+          Alcotest.test_case "clients that hang up before the reply" `Slow
+            test_client_hangs_up;
           Alcotest.test_case "query, top and report end to end" `Slow
             test_query_dashboard_integration;
         ] );

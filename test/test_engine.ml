@@ -547,6 +547,82 @@ let test_stats_merge_momentwise_empty () =
   Alcotest.(check bool) "empty mean nan" true
     (Float.is_nan (Engine.Stats.mean e))
 
+(* Every reported number, as IEEE-754 bits, for a seeded 10k-value
+   stream: whole, sample-kept, and merged from a 6000/4000 split both
+   moment-wise and by replay.  Any change to the float operations of
+   [add] or [merge_into], or to their order, shows here. *)
+let stats_golden =
+  [
+    ("moments.mean", 0x40195708eac2f49dL);
+    ("moments.variance", 0x406de12f146922acL);
+    ("moments.min", 0xbfefff544f387e73L);
+    ("moments.max", 0x4050000000000000L);
+    ("moments.sum", 0x40eeeebe6292fbd8L);
+    ("kept.mean", 0x40195708eac2f49dL);
+    ("kept.variance", 0x406de12f146922acL);
+    ("kept.min", 0xbfefff544f387e73L);
+    ("kept.max", 0x4050000000000000L);
+    ("kept.sum", 0x40eeeebe6292fbd8L);
+    ("kept.p50", 0x3ef1362b8b2a91a4L);
+    ("kept.p99", 0x404f000000000000L);
+    ("merged_moments.mean", 0x40195708eac2f4acL);
+    ("merged_moments.variance", 0x406de12f1469229fL);
+    ("merged_moments.min", 0xbfefff544f387e73L);
+    ("merged_moments.max", 0x4050000000000000L);
+    ("merged_moments.sum", 0x40eeeebe6292fbb8L);
+    ("merged_kept.mean", 0x40195708eac2f49dL);
+    ("merged_kept.variance", 0x406de12f146922acL);
+    ("merged_kept.min", 0xbfefff544f387e73L);
+    ("merged_kept.max", 0x4050000000000000L);
+    ("merged_kept.sum", 0x40eeeebe6292fbd8L);
+  ]
+
+let test_stats_golden_bits () =
+  let xs = Pins.stream 10_000 in
+  let summary name s =
+    let open Engine.Stats in
+    [
+      (name ^ ".mean", mean s);
+      (name ^ ".variance", variance s);
+      (name ^ ".min", min s);
+      (name ^ ".max", max s);
+      (name ^ ".sum", sum s);
+    ]
+  in
+  let fill keep lo hi =
+    let s = Engine.Stats.create ~keep_samples:keep () in
+    for i = lo to hi - 1 do
+      Engine.Stats.add s xs.(i)
+    done;
+    s
+  in
+  let whole = fill false 0 10_000 in
+  let kept = fill true 0 10_000 in
+  let a = fill false 0 6_000 in
+  Engine.Stats.merge_into ~into:a (fill false 6_000 10_000);
+  let ka = fill true 0 6_000 in
+  Engine.Stats.merge_into ~into:ka (fill true 6_000 10_000);
+  Pins.check_bits ~expected:stats_golden
+    (summary "moments" whole @ summary "kept" kept
+    @ [
+        ("kept.p50", Engine.Stats.quantile kept 0.5);
+        ("kept.p99", Engine.Stats.quantile kept 0.99);
+      ]
+    @ summary "merged_moments" a @ summary "merged_kept" ka)
+
+let test_stats_add_allocation () =
+  let xs = Pins.stream 8192 in
+  let s = Engine.Stats.create ~keep_samples:false () in
+  let i = ref 0 in
+  let w =
+    Pins.words_per_call (fun () ->
+        incr i;
+        Engine.Stats.add s xs.(!i land 8191))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per add: at most the boxed argument's 2" w)
+    true (w <= 2.)
+
 let prop_stats_merge_moments_match_samples =
   (* The closed-form moment merge must agree with re-adding every sample. *)
   QCheck.Test.make ~name:"moment-only merge agrees with sample merge"
@@ -595,6 +671,62 @@ let prop_stats_minmax =
 (* ------------------------------------------------------------------ *)
 (* P2_quantile                                                        *)
 (* ------------------------------------------------------------------ *)
+
+(* P² estimates as IEEE-754 bits for the same seeded stream: whole,
+   merged from a 6000/4000 split, and merged with a three-value sketch
+   (the exact-replay branch).  Pins the marker arithmetic bit for bit. *)
+let p2_golden =
+  [
+    ("p50", 0x3ef20cfa2db6bc1bL);
+    ("p50.merged", 0x3fe10ef54c5ff8a1L);
+    ("p50.merged_small", 0x3ef0d9dae03a042eL);
+    ("p90", 0x404017f96f15b37dL);
+    ("p90.merged", 0x40437c4a9eb69b0dL);
+    ("p90.merged_small", 0x40403f493dd053b4L);
+    ("p99", 0x404ed143a4a10e51L);
+    ("p99.merged", 0x404f22d913da8b55L);
+    ("p99.merged_small", 0x404ed3d9530fa0d5L);
+  ]
+
+let test_p2_golden_bits () =
+  let xs = Pins.stream 10_000 in
+  Pins.check_bits ~expected:p2_golden
+    (List.concat_map
+       (fun (tag, q) ->
+         let fill lo hi =
+           let s = Engine.P2_quantile.create ~q in
+           for i = lo to hi - 1 do
+             Engine.P2_quantile.add s xs.(i)
+           done;
+           s
+         in
+         let a = fill 0 6_000 in
+         Engine.P2_quantile.merge_into ~into:a (fill 6_000 10_000);
+         let small = fill 0 6_000 in
+         Engine.P2_quantile.merge_into ~into:small (fill 6_000 6_003);
+         [
+           (tag, Engine.P2_quantile.estimate (fill 0 10_000));
+           (tag ^ ".merged", Engine.P2_quantile.estimate a);
+           (tag ^ ".merged_small", Engine.P2_quantile.estimate small);
+         ])
+       [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ])
+
+let test_p2_add_allocation () =
+  let xs = Pins.stream 8192 in
+  List.iter
+    (fun q ->
+      let s = Engine.P2_quantile.create ~q in
+      let i = ref 0 in
+      let w =
+        Pins.words_per_call (fun () ->
+            incr i;
+            Engine.P2_quantile.add s xs.(!i land 8191))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%g: %.2f words per add, at most the boxed argument's 2"
+           q w)
+        true (w <= 2.))
+    [ 0.5; 0.9; 0.99 ]
 
 let test_p2_median_uniform () =
   let p2 = Engine.P2_quantile.create ~q:0.5 in
@@ -1020,6 +1152,9 @@ let () =
           Alcotest.test_case "merge momentwise" `Quick test_stats_merge_momentwise;
           Alcotest.test_case "merge momentwise empty" `Quick
             test_stats_merge_momentwise_empty;
+          Alcotest.test_case "golden bits" `Quick test_stats_golden_bits;
+          Alcotest.test_case "add allocates only its argument" `Quick
+            test_stats_add_allocation;
           qc prop_stats_merge_moments_match_samples;
           qc prop_stats_mean_matches_naive;
           qc prop_stats_minmax;
@@ -1066,6 +1201,9 @@ let () =
             test_p2_merge_deterministic;
           Alcotest.test_case "merge empty/mismatch" `Quick
             test_p2_merge_empty_and_mismatch;
+          Alcotest.test_case "golden bits" `Quick test_p2_golden_bits;
+          Alcotest.test_case "add allocates only its argument" `Quick
+            test_p2_add_allocation;
           qc prop_p2_within_range;
         ] );
     ]

@@ -321,6 +321,126 @@ let test_merge_disabled_noop () =
   Alcotest.(check int) "disabled into untouched" 0
     (Tel.Counter.value (Tel.counter Tel.disabled "c"))
 
+(* ------------------------------------------------------------------ *)
+(* Hot path: same bits, no allocation beyond the boxed argument       *)
+(* ------------------------------------------------------------------ *)
+
+(* Snapshot numbers of a histogram fed the seeded stream, whole and
+   merged (via [merge_into]) from a 6000/4000 split, as IEEE-754 bits:
+   what snapshots and the exposition report must not drift. *)
+let histogram_golden =
+  [
+    ("whole.mean", 0x40195708eac2f49dL);
+    ("whole.min", 0xbfefff544f387e73L);
+    ("whole.max", 0x4050000000000000L);
+    ("whole.sum", 0x40eeeebe6292fbd8L);
+    ("whole.p50", 0x3ef20cfa2db6bc1bL);
+    ("whole.p90", 0x404017f96f15b37dL);
+    ("whole.p99", 0x404ed143a4a10e51L);
+    ("merged.mean", 0x40195708eac2f4acL);
+    ("merged.min", 0xbfefff544f387e73L);
+    ("merged.max", 0x4050000000000000L);
+    ("merged.sum", 0x40eeeebe6292fbb8L);
+    ("merged.p50", 0x3fe10ef54c5ff8a1L);
+    ("merged.p90", 0x40437c4a9eb69b0dL);
+    ("merged.p99", 0x404f22d913da8b55L);
+  ]
+
+let test_histogram_golden_bits () =
+  let xs = Pins.stream 10_000 in
+  let fill lo hi =
+    let tel = Tel.create () in
+    let h = Tel.histogram tel "h" in
+    for i = lo to hi - 1 do
+      Tel.Histogram.observe h xs.(i)
+    done;
+    tel
+  in
+  let read name tel =
+    match Tel.snapshot tel with
+    | Engine.Json.Obj fields -> (
+      match List.assoc "histograms" fields with
+      | Engine.Json.Obj [ (_, Engine.Json.Obj h) ] ->
+        List.filter_map
+          (fun (k, v) ->
+            match v with
+            | Engine.Json.Number x when k <> "count" -> Some (name ^ "." ^ k, x)
+            | _ -> None)
+          h
+      | _ -> Alcotest.fail "one histogram expected")
+    | _ -> Alcotest.fail "snapshot is an object"
+  in
+  let merged = fill 0 6_000 in
+  Tel.merge_into ~into:merged (fill 6_000 10_000);
+  Pins.check_bits ~expected:histogram_golden
+    (read "whole" (fill 0 10_000) @ read "merged" merged)
+
+let test_histogram_observe_allocation () =
+  let xs = Pins.stream 8192 in
+  let h = Tel.histogram (Tel.create ()) "h" in
+  let i = ref 0 in
+  let w =
+    Pins.words_per_call (fun () ->
+        incr i;
+        Tel.Histogram.observe h xs.(!i land 8191))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per observe: at most the boxed argument's 2" w)
+    true (w <= 2.)
+
+(* The same traffic through an instrumented and a bare fabric: per packet
+   hop, telemetry may allocate only the boxed float it hands each
+   histogram (queue depth on enqueue, sojourn on dequeue) — the counters,
+   per-tenant ones included, allocate nothing.  Measured on a second batch
+   of packets, after the first has created every tenant's counters. *)
+let test_net_telemetry_allocation () =
+  let batch = 2_000 in
+  let run tel =
+    let topo = Netsim.Topology.create ~num_hosts:2 ~num_switches:1 in
+    ignore (Netsim.Topology.add_duplex topo ~a:0 ~b:2 ~rate:1e9 ~delay:1e-6);
+    ignore (Netsim.Topology.add_duplex topo ~a:1 ~b:2 ~rate:1e9 ~delay:1e-6);
+    let routing = Netsim.Routing.compute topo in
+    let sim = Engine.Sim.create () in
+    let net =
+      Netsim.Net.create ~sim ~topo ~routing
+        ~make_qdisc:(fun _ -> Sched.Fifo_queue.create ~capacity_pkts:16 ())
+        ~telemetry:tel
+        ~deliver:(fun _ -> ())
+        ()
+    in
+    let packets () =
+      Array.init batch (fun i ->
+          Sched.Packet.make ~src:0 ~dst:1 ~tenant:(i mod 3) ~flow:i
+            ~size:1250 ())
+    in
+    let send ps =
+      Array.iter (Netsim.Net.inject net) ps;
+      Engine.Sim.run sim
+    in
+    let hops () =
+      Tel.Counter.value (Tel.counter tel "net.enqueue")
+      + Tel.Counter.value (Tel.counter tel "net.dequeue")
+    in
+    send (packets ());
+    let ps = packets () in
+    let h0 = hops () in
+    let w0 = Gc.minor_words () in
+    send ps;
+    let words = Gc.minor_words () -. w0 in
+    (words, hops () - h0)
+  in
+  let bare, _ = run Tel.disabled in
+  let tel = Tel.create () in
+  let instrumented, hops = run tel in
+  Alcotest.(check bool) "some drops" true
+    (Tel.Counter.value (Tel.counter tel "net.drop") > 0);
+  let extra = instrumented -. bare in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f extra words over %d hops: at most 2 per hop" extra
+       hops)
+    true
+    (extra <= 2. *. float_of_int hops)
+
 let () =
   Alcotest.run "telemetry"
     [
@@ -357,5 +477,14 @@ let () =
             test_instrumented_net_counters;
           Alcotest.test_case "instrumented preprocessor" `Quick
             test_instrumented_preprocessor;
+        ] );
+      ( "hot_path",
+        [
+          Alcotest.test_case "histogram golden bits" `Quick
+            test_histogram_golden_bits;
+          Alcotest.test_case "histogram observe allocates only its argument"
+            `Quick test_histogram_observe_allocation;
+          Alcotest.test_case "net telemetry allocates only histogram arguments"
+            `Quick test_net_telemetry_allocation;
         ] );
     ]
