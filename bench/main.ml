@@ -760,7 +760,7 @@ let run_profile () =
     "fig4 quick point: slo audit %.3g events/s (%.1f%% over the \
      recorder-armed rate it builds on)@."
     rate_slo slo_overhead;
-  (* The Engine.Perf layer (stage meters + GC sampling + pause monitor),
+  (* The Engine.Perf layer (stage counts + GC sampling + pause monitor),
      armed by an enabled telemetry registry.  Both sides run the same
      telemetry+SLO configuration so the only delta is the perf
      instrumentation itself; it is designed to stay under 10%. *)

@@ -74,12 +74,19 @@ let default_config =
     snapshot_interval = 1.0;
   }
 
+(* Received bytes not yet consumed live in [buf], between [start] and
+   [stop]: control lines are consumed by moving [start], never by copying
+   the remainder, and the buffer grows only up to [max_input_bytes + 1]. *)
 type conn = {
   fd : Unix.file_descr;
   kind : [ `Ctl | `Http ];
-  mutable pending : string;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
   mutable closed : bool;
 }
+
+let max_input_bytes = 65_536
 
 type t = {
   config : config;
@@ -674,12 +681,10 @@ let strip_cr line =
 
 let rec process_control_lines t c =
   if not c.closed then
-    match String.index_opt c.pending '\n' with
-    | None -> ()
-    | Some i ->
-      let line = strip_cr (String.sub c.pending 0 i) in
-      c.pending <-
-        String.sub c.pending (i + 1) (String.length c.pending - i - 1);
+    match Bytes.index_from_opt c.buf c.start '\n' with
+    | Some i when i < c.stop ->
+      let line = strip_cr (Bytes.sub_string c.buf c.start (i - c.start)) in
+      c.start <- i + 1;
       if line <> "" then begin
         let outcome =
           match Proto.parse_request line with
@@ -689,11 +694,13 @@ let rec process_control_lines t c =
         send c (Proto.outcome_line outcome)
       end;
       process_control_lines t c
+    | Some _ | None -> ()
 
 let serve_http t c =
-  if Http.head_complete c.pending then begin
+  let head = Bytes.sub_string c.buf c.start (c.stop - c.start) in
+  if Http.head_complete head then begin
     let resp =
-      match Http.parse_request c.pending with
+      match Http.parse_request head with
       | Error e -> Http.bad_request e
       | Ok { Http.meth = "GET"; target } -> (
         match Http.split_target target with
@@ -715,15 +722,43 @@ let serve_http t c =
     close_conn c
   end
 
+(* A peer that sent more than [max_input_bytes] without ending its control
+   line or request head gets one answer, then loses the connection. *)
+let refuse_oversized c =
+  (match c.kind with
+  | `Ctl ->
+    let msg =
+      Printf.sprintf "control line exceeds %d bytes" max_input_bytes
+    in
+    send c (Proto.outcome_line (Error (Qvisor.Error.Config msg)))
+  | `Http ->
+    send c
+      (Http.response ~status:431 ~reason:"Request Header Fields Too Large"
+         ~content_type:"text/plain"
+         (Printf.sprintf "request head exceeds %d bytes\n" max_input_bytes)));
+  close_conn c
+
 let read_conn t c =
-  let bytes = Bytes.create 4096 in
-  match Unix.read c.fd bytes 0 4096 with
+  (* Make room: slide the unconsumed bytes to the front, then grow. *)
+  if c.start > 0 then begin
+    Bytes.blit c.buf c.start c.buf 0 (c.stop - c.start);
+    c.stop <- c.stop - c.start;
+    c.start <- 0
+  end;
+  if c.stop = Bytes.length c.buf then begin
+    let bigger = Bytes.create (min (max_input_bytes + 1) (2 * c.stop)) in
+    Bytes.blit c.buf 0 bigger 0 c.stop;
+    c.buf <- bigger
+  end;
+  match Unix.read c.fd c.buf c.stop (Bytes.length c.buf - c.stop) with
   | 0 -> close_conn c
-  | n -> (
-    c.pending <- c.pending ^ Bytes.sub_string bytes 0 n;
-    match c.kind with
+  | n ->
+    c.stop <- c.stop + n;
+    (match c.kind with
     | `Ctl -> process_control_lines t c
-    | `Http -> serve_http t c)
+    | `Http -> serve_http t c);
+    if (not c.closed) && c.stop - c.start > max_input_bytes then
+      refuse_oversized c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
     ()
@@ -733,7 +768,9 @@ let rec accept_all t kind fd =
   match Unix.accept ~cloexec:true fd with
   | cfd, _ ->
     Unix.set_nonblock cfd;
-    t.conns <- { fd = cfd; kind; pending = ""; closed = false } :: t.conns;
+    t.conns <-
+      { fd = cfd; kind; buf = Bytes.create 4096; start = 0; stop = 0; closed = false }
+      :: t.conns;
     accept_all t kind fd
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->

@@ -68,6 +68,13 @@ val serve : t -> unit
     client that hangs up before reading its reply closes only its own
     connection. *)
 
+val max_input_bytes : int
+(** The longest control line, or HTTP request head, a connection may
+    buffer (64 KiB).  A control client that sends more without a newline
+    gets one typed [config] error line; an HTTP client that sends more
+    without ending its head gets a [431]; either way the connection is
+    then closed and the daemon keeps serving everyone else. *)
+
 val stop : t -> unit
 (** Request the loop to exit; safe to call from a signal handler or
     another thread. *)

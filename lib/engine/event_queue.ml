@@ -74,8 +74,9 @@ let pop t =
 
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 
-let peek t =
-  if t.size = 0 then None else Some (t.heap.(0).time, t.heap.(0).payload)
+let top t =
+  if t.size = 0 then invalid_arg "Event_queue.top: empty queue";
+  t.heap.(0).payload
 
 let clear t =
   t.size <- 0;

@@ -20,7 +20,9 @@ val pop : 'a t -> (float * 'a) option
 val peek_time : 'a t -> float option
 (** Time of the earliest event without removing it. *)
 
-val peek : 'a t -> (float * 'a) option
-(** The earliest event without removing it. *)
+val top : 'a t -> 'a
+(** The earliest event's payload, without removing it and without
+    allocating.
+    @raise Invalid_argument on an empty queue. *)
 
 val clear : 'a t -> unit

@@ -111,149 +111,6 @@ let sample_gc ?pause tel =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-stage throughput meters                                        *)
-(* ------------------------------------------------------------------ *)
-
-module Meter = struct
-  type t = {
-    m_name : string;
-    m_enabled : bool;
-    m_mask : int;
-    mutable m_ops : int;
-    (* Allocation counter (bytes, as an int) captured by [before] on a
-       sampled event; [min_int] when no sample is in flight.  Stored as
-       an int so the steady-state bracket never allocates a float box. *)
-    mutable m_pending : int;
-    mutable m_sampled : int;
-    mutable m_sampled_bytes : int;
-  }
-
-  let create ?(sample = 64) name =
-    if sample <= 0 || sample land (sample - 1) <> 0 then
-      invalid_arg "Perf.Meter.create: sample must be a positive power of two";
-    {
-      m_name = name;
-      m_enabled = true;
-      m_mask = sample - 1;
-      m_ops = 0;
-      m_pending = min_int;
-      m_sampled = 0;
-      m_sampled_bytes = 0;
-    }
-
-  let disabled =
-    {
-      m_name = "disabled";
-      m_enabled = false;
-      m_mask = 0;
-      m_ops = 0;
-      m_pending = min_int;
-      m_sampled = 0;
-      m_sampled_bytes = 0;
-    }
-
-  let name t = t.m_name
-
-  let before t =
-    if t.m_enabled then begin
-      t.m_ops <- t.m_ops + 1;
-      if t.m_ops land t.m_mask = 0 then
-        t.m_pending <- int_of_float (allocated_bytes ())
-    end
-
-  let after t =
-    if t.m_enabled && t.m_pending <> min_int then begin
-      let b = int_of_float (allocated_bytes ()) - t.m_pending in
-      t.m_pending <- min_int;
-      t.m_sampled <- t.m_sampled + 1;
-      t.m_sampled_bytes <-
-        t.m_sampled_bytes + max 0 (b - int_of_float probe_overhead_bytes)
-    end
-
-  let ops t = t.m_ops
-
-  let alloc_bytes_per_op t =
-    if t.m_sampled = 0 then Float.nan
-    else float_of_int t.m_sampled_bytes /. float_of_int t.m_sampled
-end
-
-module Meters = struct
-  type t = {
-    ms_enabled : bool;
-    ms_enqueue : Meter.t;
-    ms_dequeue : Meter.t;
-    ms_preprocess : Meter.t;
-    ms_recorder : Meter.t;
-    ms_slo : Meter.t;
-    mutable ms_last_wall : float;
-    ms_last_ops : int array;
-  }
-
-  let create () =
-    {
-      ms_enabled = true;
-      ms_enqueue = Meter.create "enqueue";
-      ms_dequeue = Meter.create "dequeue";
-      ms_preprocess = Meter.create "preprocess";
-      ms_recorder = Meter.create "recorder";
-      ms_slo = Meter.create "slo_audit";
-      ms_last_wall = Unix.gettimeofday ();
-      ms_last_ops = Array.make 5 0;
-    }
-
-  let disabled =
-    {
-      ms_enabled = false;
-      ms_enqueue = Meter.disabled;
-      ms_dequeue = Meter.disabled;
-      ms_preprocess = Meter.disabled;
-      ms_recorder = Meter.disabled;
-      ms_slo = Meter.disabled;
-      ms_last_wall = 0.;
-      ms_last_ops = Array.make 5 0;
-    }
-
-  let is_enabled t = t.ms_enabled
-  let enqueue t = t.ms_enqueue
-  let dequeue t = t.ms_dequeue
-  let preprocess t = t.ms_preprocess
-  let recorder t = t.ms_recorder
-  let slo_audit t = t.ms_slo
-
-  let all t =
-    [ t.ms_enqueue; t.ms_dequeue; t.ms_preprocess; t.ms_recorder; t.ms_slo ]
-
-  let publish t tel =
-    if t.ms_enabled && Telemetry.is_enabled tel then begin
-      let now = Unix.gettimeofday () in
-      let dt = now -. t.ms_last_wall in
-      List.iteri
-        (fun i m ->
-          let ops = Meter.ops m in
-          let window = ops - t.ms_last_ops.(i) in
-          t.ms_last_ops.(i) <- ops;
-          let stage = Meter.name m in
-          Telemetry.Counter.add
-            (Telemetry.counter tel
-               (Printf.sprintf "perf.stage.%s.events" stage))
-            window;
-          if window > 0 && dt > 0. then
-            Telemetry.Gauge.set
-              (Telemetry.gauge tel
-                 (Printf.sprintf "perf.stage.%s.events_per_sec" stage))
-              (float_of_int window /. dt);
-          let bpe = Meter.alloc_bytes_per_op m in
-          if Float.is_finite bpe then
-            Telemetry.Gauge.set
-              (Telemetry.gauge tel
-                 (Printf.sprintf "perf.stage.%s.alloc_bytes_per_event" stage))
-              bpe)
-        (all t);
-      t.ms_last_wall <- now
-    end
-end
-
-(* ------------------------------------------------------------------ *)
 (* Micro-benchmark harness                                            *)
 (* ------------------------------------------------------------------ *)
 

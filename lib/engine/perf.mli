@@ -1,16 +1,13 @@
-(** Performance observability: allocation/GC telemetry, per-stage
-    throughput meters, and a noise-aware micro-benchmark harness with a
-    statistically-gated comparator.
+(** Performance observability: allocation/GC telemetry and a
+    noise-aware micro-benchmark harness with a statistically-gated
+    comparator.
 
     This is the measurement scaffolding the engine-rewrite roadmap item
-    is judged against.  Four layers, cheapest first:
+    is judged against.  Three layers, cheapest first:
 
     - {!allocated_bytes} and {!sample_gc}: allocation counters and
       [Gc.quick_stat]-derived collection/heap/pause gauges pushed into a
       {!Telemetry} registry (and from there rendered by {!Exposition});
-    - {!Meter} / {!Meters}: per-stage monotonic event counters with
-      sampled allocation attribution, published as events/sec and
-      alloc-bytes/event gauges at window close;
     - {!Bench}: repeated-trial micro-benchmarks reporting min/median/MAD
       for both ns/op and allocated bytes/op — the producer of
       [BENCH_engine.json];
@@ -66,62 +63,6 @@ val sample_gc : ?pause:Pause.t -> Telemetry.t -> unit
     [gc.top_heap_words], [gc.minor_words], [gc.promoted_words],
     [gc.major_words] and [gc.allocated_bytes]; with [pause], also polls
     it and sets [gc.max_pause_seconds].  No-op on a disabled registry. *)
-
-(** {1 Per-stage throughput meters} *)
-
-(** A cheap monotonic event counter for one hot-path stage.  Every
-    {!before}/{!after} bracket counts one event; every [sample]-th
-    event additionally measures the bytes allocated inside the bracket,
-    so allocs/event converges while the steady-state cost stays one
-    increment, one mask and one branch. *)
-module Meter : sig
-  type t
-
-  val create : ?sample:int -> string -> t
-  (** [sample] (default 64) must be a power of two.
-      @raise Invalid_argument otherwise. *)
-
-  val disabled : t
-  (** Shared no-op meter: both brackets degenerate to one branch. *)
-
-  val name : t -> string
-  val before : t -> unit
-  val after : t -> unit
-
-  val ops : t -> int
-  (** Events counted so far. *)
-
-  val alloc_bytes_per_op : t -> float
-  (** Sampled mean bytes allocated per event ([nan] before the first
-      sampled event). *)
-end
-
-(** The fixed stage set the fabric instruments: enqueue, dequeue,
-    preprocess, recorder and SLO-audit paths. *)
-module Meters : sig
-  type t
-
-  val create : unit -> t
-  val disabled : t
-  val is_enabled : t -> bool
-  val enqueue : t -> Meter.t
-  val dequeue : t -> Meter.t
-  val preprocess : t -> Meter.t
-  val recorder : t -> Meter.t
-  val slo_audit : t -> Meter.t
-
-  val all : t -> Meter.t list
-  (** The five stage meters, fixed order. *)
-
-  val publish : t -> Telemetry.t -> unit
-  (** Window close: for each stage, add the window's event count to the
-      [perf.stage.<stage>.events] counter and set
-      [perf.stage.<stage>.events_per_sec] (events this window over
-      wall-clock seconds since the previous publish) and
-      [perf.stage.<stage>.alloc_bytes_per_event] gauges.  Stages idle in
-      the window keep their last rate gauge.  No-op when either side is
-      disabled. *)
-end
 
 (** {1 Micro-benchmark harness} *)
 

@@ -77,14 +77,12 @@ let run ?until t =
       (match until with
       | None -> while step t do () done
       | Some horizon ->
-        let continue = ref true in
-        while !continue do
-          match Timer_wheel.pop_before t.queue ~horizon with
-          | Some (time, ev) -> fire t time ev
-          | None ->
-            t.clock <- max t.clock horizon;
-            continue := false
-        done);
+        (* A two-argument closure, so the wheel calls it directly. *)
+        let fire_ev time ev = fire t time ev in
+        while Timer_wheel.pop_before t.queue ~horizon fire_ev do
+          ()
+        done;
+        t.clock <- max t.clock horizon);
       t.busy <- t.busy +. (Unix.gettimeofday () -. started))
 
 let pending_events t = Timer_wheel.size t.queue

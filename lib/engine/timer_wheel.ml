@@ -12,9 +12,12 @@
    - [base] is the tick of the last popped event; every queued wheel event
      has tick in [base, base + num_slots), so slot [tick land mask] is a
      bijection and one slot never mixes ticks.
-   - Pushes beyond the horizon go to the overflow heap.  Overflow events
-     are never migrated; they win the head-to-head comparison when their
-     (time, seq) comes first, which preserves global FIFO-among-equals. *)
+   - Pushes beyond the horizon go to the overflow heap, as the same
+     entry nodes the slots hold.  Overflow events are never migrated; they
+     win the head-to-head comparison when their (time, seq) comes first,
+     which preserves global FIFO-among-equals.  The comparison reads the
+     heap top in place, so a pending far-future event (an SLO tick) adds
+     no allocation to the near-term pops it waits behind. *)
 
 (* Slot lists use a bespoke Nil/Node variant rather than [option]:
    links are matched, never compared structurally, and no [Some] boxes
@@ -49,7 +52,7 @@ type 'a t = {
   mutable cached_tick : int;
   mutable wheel_count : int;
   mutable next_seq : int;
-  overflow : (int * 'a) Event_queue.t; (* (global seq, payload) *)
+  overflow : 'a node Event_queue.t; (* [Node] entries, never [Nil] *)
 }
 
 (* Branch-free bit scan (see Sched.Bucket_queue for the derivation);
@@ -115,26 +118,27 @@ let rec clear_bit t lvl idx =
   if nw = 0 && lvl + 1 < t.num_levels then clear_bit t (lvl + 1) w
 
 (* First occupied slot at index >= [from], or -1: climb levels masking off
-   bits behind the query point, then descend to the leaf. *)
-let next_set t from =
-  let rec down lvl idx =
-    if lvl = 0 then idx
+   bits behind the query point, then descend to the leaf.  Top-level
+   functions rather than local closures over [t], which would be
+   allocated on every call. *)
+let rec down t lvl idx =
+  if lvl = 0 then idx
+  else
+    down t (lvl - 1)
+      ((idx lsl 5) lor ntz32 (Array.unsafe_get (Array.unsafe_get t.levels (lvl - 1)) idx))
+
+let rec up t lvl idx =
+  if lvl >= t.num_levels then -1
+  else
+    let w = idx lsr 5 and b = idx land 31 in
+    let words = Array.unsafe_get t.levels lvl in
+    if w >= Array.length words then -1
     else
-      down (lvl - 1)
-        ((idx lsl 5) lor ntz32 (Array.unsafe_get (Array.unsafe_get t.levels (lvl - 1)) idx))
-  in
-  let rec up lvl idx =
-    if lvl >= t.num_levels then -1
-    else
-      let w = idx lsr 5 and b = idx land 31 in
-      let words = Array.unsafe_get t.levels lvl in
-      if w >= Array.length words then -1
-      else
-        let masked = Array.unsafe_get words w land ((-1) lsl b) in
-        if masked <> 0 then down lvl ((w lsl 5) lor ntz32 masked)
-        else up (lvl + 1) (w + 1)
-  in
-  up 0 from
+      let masked = Array.unsafe_get words w land ((-1) lsl b) in
+      if masked <> 0 then down t lvl ((w lsl 5) lor ntz32 masked)
+      else up t (lvl + 1) (w + 1)
+
+let next_set t from = up t 0 from
 
 (* Earliest occupied slot in tick order (circular from base), -1 if none. *)
 let first_slot t =
@@ -158,7 +162,8 @@ let push t ~time payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   let k = tick_of_time t time in
-  if k - t.base >= t.num_slots then Event_queue.push t.overflow ~time (seq, payload)
+  if k - t.base >= t.num_slots then
+    Event_queue.push t.overflow ~time (Node { time; seq; payload; next = Nil })
   else begin
     let s = k land t.mask in
     let e = { time; seq; payload; next = Nil } in
@@ -198,10 +203,11 @@ let push t ~time payload =
     t.wheel_count <- t.wheel_count + 1
   end
 
+(* Remove the head of slot [s]; returns its node. *)
 let pop_wheel t s =
   match Array.unsafe_get t.slots s with
   | Nil -> assert false
-  | Node e ->
+  | Node e as n ->
     t.slots.(s) <- e.next;
     (match e.next with
     | Nil ->
@@ -212,67 +218,60 @@ let pop_wheel t s =
     t.wheel_count <- t.wheel_count - 1;
     let s_base = t.base land t.mask in
     t.base <- t.base + ((s - s_base) land t.mask);
-    (e.time, e.payload)
+    n
+
+let pop_overflow t =
+  let n = Event_queue.top t.overflow in
+  ignore (Event_queue.pop t.overflow);
+  (match n with Node o -> t.base <- tick_of_time t o.time | Nil -> ());
+  n
+
+(* Whether the next event is the overflow heap's top rather than the head
+   of wheel slot [s] ([s < 0]: the wheel is empty), by (time, seq). *)
+let overflow_first t s =
+  (not (Event_queue.is_empty t.overflow))
+  && (s < 0
+     ||
+     match (Event_queue.top t.overflow, Array.unsafe_get t.slots s) with
+     | Node o, Node e -> o.time < e.time || (o.time = e.time && o.seq < e.seq)
+     | _ -> assert false)
+
+(* Remove and return the earliest node if its time is [<= horizon], else
+   [Nil]: one head lookup decides both "is it due?" and "remove it", where
+   a peek-then-pop pair would do the slot descent and overflow comparison
+   twice per event. *)
+let take t ~horizon =
+  let s = first_slot t in
+  if overflow_first t s then
+    match Event_queue.top t.overflow with
+    | Node o when o.time <= horizon -> pop_overflow t
+    | _ -> Nil
+  else if s < 0 then Nil
+  else
+    match Array.unsafe_get t.slots s with
+    | Node e when e.time <= horizon -> pop_wheel t s
+    | _ -> Nil
 
 let pop t =
-  let s = first_slot t in
-  if s < 0 then
-    match Event_queue.pop t.overflow with
-    | None -> None
-    | Some (time, (_, payload)) ->
-      t.base <- tick_of_time t time;
-      Some (time, payload)
-  else
-    match (t.slots.(s), Event_queue.peek t.overflow) with
-    | Node e, Some (ot, (oseq, _))
-      when ot < e.time || (ot = e.time && oseq < e.seq) -> (
-      match Event_queue.pop t.overflow with
-      | Some (time, (_, payload)) ->
-        t.base <- tick_of_time t time;
-        Some (time, payload)
-      | None -> assert false)
-    | Node _, _ -> Some (pop_wheel t s)
-    | Nil, _ -> assert false
+  match take t ~horizon:infinity with
+  | Nil -> None
+  | Node e -> Some (e.time, e.payload)
 
-(* [pop] gated on the head's time: one head lookup decides both "is it
-   due?" and "remove it", where a peek-then-pop pair would do the slot
-   descent and overflow comparison twice per event. *)
-let pop_before t ~horizon =
-  let s = first_slot t in
-  if s < 0 then
-    match Event_queue.peek t.overflow with
-    | Some (time, _) when time <= horizon -> (
-      match Event_queue.pop t.overflow with
-      | Some (time, (_, payload)) ->
-        t.base <- tick_of_time t time;
-        Some (time, payload)
-      | None -> assert false)
-    | Some _ | None -> None
-  else
-    match (t.slots.(s), Event_queue.peek t.overflow) with
-    | Node e, Some (ot, (oseq, _))
-      when ot < e.time || (ot = e.time && oseq < e.seq) ->
-      if ot > horizon then None
-      else begin
-        match Event_queue.pop t.overflow with
-        | Some (time, (_, payload)) ->
-          t.base <- tick_of_time t time;
-          Some (time, payload)
-        | None -> assert false
-      end
-    | Node e, _ -> if e.time > horizon then None else Some (pop_wheel t s)
-    | Nil, _ -> assert false
+let pop_before t ~horizon f =
+  match take t ~horizon with
+  | Nil -> false
+  | Node e ->
+    f e.time e.payload;
+    true
 
 let peek_time t =
   let s = first_slot t in
-  if s < 0 then Event_queue.peek_time t.overflow
-  else
-    match (t.slots.(s), Event_queue.peek t.overflow) with
-    | Node e, Some (ot, (oseq, _))
-      when ot < e.time || (ot = e.time && oseq < e.seq) ->
-      Some ot
-    | Node e, _ -> Some e.time
-    | Nil, _ -> assert false
+  let n =
+    if overflow_first t s then Event_queue.top t.overflow
+    else if s < 0 then Nil
+    else Array.unsafe_get t.slots s
+  in
+  match n with Nil -> None | Node e -> Some e.time
 
 let clear t =
   Array.fill t.slots 0 t.num_slots Nil;

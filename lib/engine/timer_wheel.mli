@@ -31,9 +31,11 @@ val push : 'a t -> time:float -> 'a -> unit
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event, FIFO among equal times. *)
 
-val pop_before : 'a t -> horizon:float -> (float * 'a) option
-(** [pop] only if the earliest event's time is [<= horizon]; one head
-    lookup instead of a peek-then-pop pair. *)
+val pop_before : 'a t -> horizon:float -> (float -> 'a -> unit) -> bool
+(** [pop_before t ~horizon f] removes the earliest event only if its time
+    is [<= horizon], then hands it to [f time payload] and returns [true];
+    [false] (nothing removed) otherwise.  One head lookup instead of a
+    peek-then-pop pair, and no allocation: the simulator's event loop. *)
 
 val peek_time : 'a t -> float option
 

@@ -34,29 +34,6 @@ let add t ~time v =
     t.max_index <- index
   end
 
-let merge_into ~into src =
-  if into.bucket <> src.bucket then
-    invalid_arg "Timeseries.merge_into: bucket widths differ";
-  if src.any then begin
-    let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) src.sums [] in
-    let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-    List.iter
-      (fun (index, sum) ->
-        let prev = Option.value (Hashtbl.find_opt into.sums index) ~default:0. in
-        Hashtbl.replace into.sums index (prev +. sum);
-        into.total <- into.total +. sum;
-        if into.any then begin
-          if index < into.min_index then into.min_index <- index;
-          if index > into.max_index then into.max_index <- index
-        end
-        else begin
-          into.any <- true;
-          into.min_index <- index;
-          into.max_index <- index
-        end)
-      entries
-  end
-
 let buckets t =
   if not t.any then []
   else

@@ -13,11 +13,6 @@ val create : bucket:float -> unit -> t
 val add : t -> time:float -> float -> unit
 (** Accumulate a value at a (non-negative) virtual time. *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] adds every bucket of [src] into [into].
-    The two series must share the same bucket width.
-    @raise Invalid_argument otherwise. *)
-
 val buckets : t -> (float * float) list
 (** [(bucket_start_time, sum)] pairs in time order, empty buckets between
     the first and last observation included as zeros. *)

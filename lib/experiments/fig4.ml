@@ -178,24 +178,6 @@ let run ?(telemetry = Engine.Telemetry.disabled)
     (topo, Netsim.Routing.compute topo)
   in
   let sim = Engine.Sim.create ~profiler () in
-  (* The perf layer (stage meters, GC gauges, pause monitor) rides on the
-     telemetry registry; [~perf:false] isolates its cost for the overhead
-     benchmark while keeping the rest of the instrumentation identical. *)
-  let meters =
-    if perf && Engine.Telemetry.is_enabled telemetry then
-      Engine.Perf.Meters.create ()
-    else Engine.Perf.Meters.disabled
-  in
-  let pause =
-    if Engine.Perf.Meters.is_enabled meters then Engine.Perf.Pause.start ()
-    else None
-  in
-  let publish_perf () =
-    if Engine.Perf.Meters.is_enabled meters then begin
-      Engine.Perf.Meters.publish meters telemetry;
-      Engine.Perf.sample_gc ?pause telemetry
-    end
-  in
   let rng = Engine.Rng.create ~seed:params.seed in
   let transport = Netsim.Transport.create ~sim () in
   let* preprocess, make_qdisc, watch =
@@ -296,9 +278,41 @@ let run ?(telemetry = Engine.Telemetry.disabled)
       ?on_dequeue:(hook Qvisor.Slo.Watch.on_dequeue)
       ?on_drop:(hook Qvisor.Slo.Watch.on_drop)
       ?on_tie_inversion:(hook Qvisor.Slo.Watch.on_tie_inversion)
-      ~telemetry ~profiler ?flight ~on_anomaly ~meters
+      ~telemetry ~profiler ?flight ~on_anomaly
       ~deliver:(Netsim.Transport.deliver transport)
       ()
+  in
+  (* The perf layer (per-stage event counts and rates, GC gauges, pause
+     monitor) rides on the telemetry registry; [~perf:false] isolates its
+     cost for the overhead benchmark while keeping the rest of the
+     instrumentation identical.  Stage counts come from the fabric's own
+     counters ([Net.stage_events]); each publication adds the window since
+     the previous one, so a registry shared across runs sums them. *)
+  let publish_perf =
+    if not (perf && Engine.Telemetry.is_enabled telemetry) then ignore
+    else begin
+      let pause = Engine.Perf.Pause.start () in
+      let last = Array.of_list (List.map snd (Netsim.Net.stage_events net)) in
+      let last_wall = ref (Unix.gettimeofday ()) in
+      fun () ->
+        let now = Unix.gettimeofday () in
+        let dt = now -. !last_wall in
+        last_wall := now;
+        List.iteri
+          (fun i (stage, events) ->
+            let window = events - last.(i) in
+            last.(i) <- events;
+            let name what = Printf.sprintf "perf.stage.%s.%s" stage what in
+            Engine.Telemetry.Counter.add
+              (Engine.Telemetry.counter telemetry (name "events"))
+              window;
+            if window > 0 && dt > 0. then
+              Engine.Telemetry.Gauge.set
+                (Engine.Telemetry.gauge telemetry (name "events_per_sec"))
+                (float_of_int window /. dt))
+          (Netsim.Net.stage_events net);
+        Engine.Perf.sample_gc ?pause telemetry
+    end
   in
   Netsim.Transport.attach transport net;
   (* Periodic SLO evaluation (see [Slo.Watch.tick]), then the perf layer's

@@ -129,11 +129,13 @@ val run :
     per-tenant verdicts land in [result.slo].
 
     [perf] (default [true]) — with an enabled [telemetry] registry, the
-    run also arms {!Engine.Perf}: per-stage throughput meters on the
-    fabric's enqueue/dequeue/preprocess/recorder/SLO-audit paths
-    (published as [perf.stage.*] counters and gauges at each SLO
-    evaluation tick and at the end of the run) plus [gc.*] gauges
-    sampled from [Gc.quick_stat] and a best-effort max-GC-pause monitor.
+    run also publishes, at each SLO evaluation tick and at the end of the
+    run, the fabric's per-stage event counts ({!Netsim.Net.stage_events}:
+    the window since the previous publication is added to the
+    [perf.stage.<stage>.events] counters, and its count over the
+    wall-clock seconds it spanned sets [perf.stage.<stage>.events_per_sec])
+    plus {!Engine.Perf}'s [gc.*] gauges sampled from [Gc.quick_stat] and a
+    best-effort max-GC-pause monitor.
     [~perf:false] keeps the rest of the instrumentation identical while
     dropping this layer — how the overhead benchmark isolates its cost.
     The run starts by resetting the domain's packet uid counter

@@ -30,7 +30,6 @@ type port = {
 }
 
 module Tel = Engine.Telemetry
-module Perf = Engine.Perf
 
 (* Per-tenant counter triple, created lazily the first time a tenant's
    packet crosses the fabric. *)
@@ -97,14 +96,6 @@ type t = {
   deliver : Sched.Packet.t -> unit;
   ins : instruments option;
   flight : flight option;
-  (* Stage meters, pre-extracted so the hot path pays one field load per
-     bracket (all are [Perf.Meter.disabled] unless the caller passed
-     enabled meters). *)
-  m_enq : Perf.Meter.t;
-  m_deq : Perf.Meter.t;
-  m_pre : Perf.Meter.t;
-  m_rec : Perf.Meter.t;
-  m_slo : Perf.Meter.t;
   (* Allocation-free drop plumbing for [Qdisc.enqueue_drop]: one callback
      per net, reading the in-flight enqueue's context from these fields.
      Safe because a discipline's enqueue is synchronous and non-reentrant
@@ -170,8 +161,7 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
     ?preprocess ?(on_enqueue = fun _ -> ()) ?(on_dequeue = fun _ -> ())
     ?(on_drop = fun _ -> ()) ?(on_tie_inversion = fun _ -> ())
     ?telemetry ?(profiler = Engine.Span.disabled) ?flight
-    ?(on_anomaly = fun ~link_id:_ _ -> ()) ?(meters = Perf.Meters.disabled)
-    ~deliver () =
+    ?(on_anomaly = fun ~link_id:_ _ -> ()) ~deliver () =
   Engine.Span.with_ profiler ~name:"net.build" @@ fun () ->
   let ports =
     Array.init (Topology.num_links topo) (fun id ->
@@ -245,11 +235,6 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
     deliver;
     ins;
     flight;
-    m_enq = Perf.Meters.enqueue meters;
-    m_deq = Perf.Meters.dequeue meters;
-    m_pre = Perf.Meters.preprocess meters;
-    m_rec = Perf.Meters.recorder meters;
-    m_slo = Perf.Meters.slo_audit meters;
     drop_cb = ignore;
     cur_uid = -1;
     cur_link = -1;
@@ -260,13 +245,10 @@ let build ~sim ~topo ~routing ~make_qdisc ?(shaper_of = fun _ -> None)
    record, telemetry — all without materializing a drop list. *)
 let handle_drop t (d : Sched.Packet.t) =
   t.dropped_any <- true;
-  Perf.Meter.before t.m_slo;
   t.on_drop d;
-  Perf.Meter.after t.m_slo;
   (match t.flight with
   | None -> ()
   | Some fl ->
-    Perf.Meter.before t.m_rec;
     Engine.Recorder.record
       fl.recorders.(t.cur_link)
       ~time:(Engine.Sim.now t.sim)
@@ -274,8 +256,7 @@ let handle_drop t (d : Sched.Packet.t) =
         (if d.Sched.Packet.uid = t.cur_uid then Engine.Recorder.Drop
          else Engine.Recorder.Evict)
       ~uid:d.Sched.Packet.uid ~link:t.cur_link ~tenant:d.Sched.Packet.tenant
-      ~flow:d.Sched.Packet.flow ~rank_before:(-1) ~rank:d.Sched.Packet.rank;
-    Perf.Meter.after t.m_rec);
+      ~flow:d.Sched.Packet.flow ~rank_before:(-1) ~rank:d.Sched.Packet.rank);
   match t.ins with
   | None -> ()
   | Some ins ->
@@ -329,7 +310,6 @@ let rec pump t port =
     match if admitted then port.qdisc.Sched.Qdisc.dequeue () else None with
     | None -> ()
     | Some p ->
-      Perf.Meter.before t.m_deq;
       (match port.bucket with
       | Some bucket ->
         bucket.tokens <-
@@ -361,29 +341,23 @@ let rec pump t port =
         (match t.ins with
         | Some ins -> Tel.Counter.incr ins.tie_total
         | None -> ());
-        Perf.Meter.before t.m_slo;
-        t.on_tie_inversion p;
-        Perf.Meter.after t.m_slo
+        t.on_tie_inversion p
       end;
       port.last_rank <- p.Sched.Packet.rank;
       port.last_uid <- p.Sched.Packet.uid;
       port.last_enq_bits <- enq_bits;
       port.last_deq_bits <- Int64.to_int (Int64.bits_of_float deq_now);
-      Perf.Meter.before t.m_slo;
       t.on_dequeue p;
-      Perf.Meter.after t.m_slo;
       (match t.flight with
       | None -> ()
       | Some fl ->
         let link_id = port.link.Topology.id in
-        Perf.Meter.before t.m_rec;
         Engine.Recorder.record
           fl.recorders.(link_id)
           ~time:(Engine.Sim.now t.sim) ~kind:Engine.Recorder.Dequeue
           ~uid:p.Sched.Packet.uid ~link:link_id ~tenant:p.Sched.Packet.tenant
           ~flow:p.Sched.Packet.flow ~rank_before:(-1)
-          ~rank:p.Sched.Packet.rank;
-        Perf.Meter.after t.m_rec);
+          ~rank:p.Sched.Packet.rank);
       (match t.ins with
       | None -> ()
       | Some ins ->
@@ -402,21 +376,12 @@ let rec pump t port =
       let arrival = tx_time +. port.link.Topology.delay in
       Engine.Sim.schedule_after_ t.sim ~delay:tx_time port.tx_done;
       Engine.Sim.schedule_after_ t.sim ~delay:arrival (fun () ->
-          receive t port.link.Topology.dst p);
-      Perf.Meter.after t.m_deq
+          receive t port.link.Topology.dst p)
   end
 
 and enqueue t port p =
-  (* The enqueue meter brackets the whole per-hop admission path
-     (preprocess and audit hooks included); the nested preprocess /
-     slo_audit / recorder meters attribute its components. *)
-  Perf.Meter.before t.m_enq;
-  Perf.Meter.before t.m_pre;
   t.preprocess p;
-  Perf.Meter.after t.m_pre;
-  Perf.Meter.before t.m_slo;
   t.on_enqueue p;
-  Perf.Meter.after t.m_slo;
   p.Sched.Packet.enqueued_at <- Engine.Sim.now t.sim;
   let link_id = port.link.Topology.id in
   (* Admission-side flight records and telemetry are written before the
@@ -427,7 +392,6 @@ and enqueue t port p =
   | Some fl ->
     let now = Engine.Sim.now t.sim in
     let rec_ = fl.recorders.(link_id) in
-    Perf.Meter.before t.m_rec;
     if t.has_preprocess then
       Engine.Recorder.record rec_ ~time:now
         ~kind:Engine.Recorder.Preprocess ~uid:p.Sched.Packet.uid
@@ -435,8 +399,7 @@ and enqueue t port p =
         ~rank_before:p.Sched.Packet.label ~rank:p.Sched.Packet.rank;
     Engine.Recorder.record rec_ ~time:now ~kind:Engine.Recorder.Enqueue
       ~uid:p.Sched.Packet.uid ~link:link_id ~tenant:p.Sched.Packet.tenant
-      ~flow:p.Sched.Packet.flow ~rank_before:(-1) ~rank:p.Sched.Packet.rank;
-    Perf.Meter.after t.m_rec);
+      ~flow:p.Sched.Packet.flow ~rank_before:(-1) ~rank:p.Sched.Packet.rank);
   (match t.ins with
   | None -> ()
   | Some ins ->
@@ -473,7 +436,6 @@ and enqueue t port p =
   | Some ins ->
     Tel.Histogram.observe ins.depth
       (float_of_int (port.qdisc.Sched.Qdisc.length ())));
-  Perf.Meter.after t.m_enq;
   pump t port
 
 and forward t node p =
@@ -492,11 +454,11 @@ and receive t node p =
 
 let create ~sim ~topo ~routing ~make_qdisc ?shaper_of ?preprocess ?on_enqueue
     ?on_dequeue ?on_drop ?on_tie_inversion ?telemetry ?profiler ?flight
-    ?on_anomaly ?meters ~deliver () =
+    ?on_anomaly ~deliver () =
   let t =
     build ~sim ~topo ~routing ~make_qdisc ?shaper_of ?preprocess ?on_enqueue
       ?on_dequeue ?on_drop ?on_tie_inversion ?telemetry ?profiler ?flight
-      ?on_anomaly ?meters ~deliver ()
+      ?on_anomaly ~deliver ()
   in
   t.drop_cb <- handle_drop t;
   Array.iter
@@ -519,6 +481,25 @@ let port_recorder t ~link_id =
   match t.flight with
   | None -> None
   | Some fl -> Some fl.recorders.(link_id)
+
+let stage_events t =
+  match t.ins with
+  | None -> []
+  | Some ins ->
+    let enq = Tel.Counter.value ins.enq_total
+    and deq = Tel.Counter.value ins.deq_total
+    and drop = Tel.Counter.value ins.drop_total in
+    (* Every hop runs the preprocess and [on_enqueue] hooks once, every
+       served packet [on_dequeue], every drop or eviction [on_drop], and
+       the flight recorder appends one entry group per each of those. *)
+    let hooks = enq + deq + drop in
+    [
+      ("enqueue", enq);
+      ("dequeue", deq);
+      ("preprocess", enq);
+      ("recorder", if Option.is_none t.flight then 0 else hooks);
+      ("slo_audit", hooks + Tel.Counter.value ins.tie_total);
+    ]
 
 let anomalies_fired t =
   match t.flight with None -> 0 | Some fl -> fl.anomalies

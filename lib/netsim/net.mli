@@ -54,7 +54,6 @@ val create :
   ?profiler:Engine.Span.t ->
   ?flight:flight_config ->
   ?on_anomaly:(link_id:int -> Engine.Recorder.t -> unit) ->
-  ?meters:Engine.Perf.Meters.t ->
   deliver:(Sched.Packet.t -> unit) ->
   unit ->
   t
@@ -90,16 +89,6 @@ val create :
     with the port's recorder — the hook dumps the last-N events as NDJSON
     next to whatever reproducer the caller is writing.
 
-    [meters] (default: {!Engine.Perf.Meters.disabled}) brackets the
-    per-hop stages with throughput meters: [enqueue] spans the whole
-    admission path of a hop (with nested [preprocess], [slo_audit] and
-    [recorder] meters attributing its components), [dequeue] spans a
-    packet's start-of-transmission path, [slo_audit] additionally counts
-    the [on_dequeue]/[on_drop]/[on_tie_inversion] hook calls, and
-    [recorder] the flight-recorder appends.  The caller publishes the
-    meters into a registry at window close
-    ({!Engine.Perf.Meters.publish}).
-
     [telemetry] (default: off) instruments every port: per-port and
     per-tenant enqueue/dequeue/drop counters ([net.port.<id>.*],
     [net.tenant.<id>.*], plus [net.enqueue]/[net.dequeue]/[net.drop]
@@ -108,6 +97,7 @@ val create :
     observed as packets start transmission.  When the registry carries a
     trace sink, each enqueue/dequeue/drop — and, if a [preprocess] hook is
     installed, each rank rewrite — is offered as a sampled NDJSON event.
+    The same counters give the per-stage event counts ({!stage_events}).
     @raise Invalid_argument on a shaper with non-positive rate or a burst
     smaller than one full packet (1518 bytes). *)
 
@@ -117,6 +107,19 @@ val inject : t -> Sched.Packet.t -> unit
 
 val port_recorder : t -> link_id:int -> Engine.Recorder.t option
 (** The port's flight-recorder ring ([None] when [flight] is off). *)
+
+val stage_events : t -> (string * int) list
+(** Per-hop stage event counts so far, derived from the telemetry
+    counters, as [(stage, events)] in the fixed order [enqueue],
+    [dequeue], [preprocess], [recorder], [slo_audit]:
+    - [enqueue] and [preprocess] are [net.enqueue] (both run once per
+      hop, whether or not a [preprocess] hook is installed);
+    - [dequeue] is [net.dequeue];
+    - [recorder] is [net.enqueue + net.dequeue + net.drop] with [flight]
+      armed, and [0] without it;
+    - [slo_audit], the audit hook calls, is
+      [net.enqueue + net.dequeue + net.drop + net.tie_inversions].
+    Empty without telemetry. *)
 
 val anomalies_fired : t -> int
 (** Drop-rate anomalies fired across all ports so far. *)

@@ -511,6 +511,92 @@ let test_client_hangs_up () =
   Unix.close fd;
   Thread.join server_thread
 
+(* Clients that never end their input: a control line with no newline
+   and an HTTP head with no blank line.  Each is cut off at
+   [Server.max_input_bytes] with one answer (a typed error line, a 431),
+   the connection is closed, and the daemon keeps serving.  Socket
+   timeouts turn a daemon that keeps buffering into a failure, not a
+   hang. *)
+let test_oversized_input () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let t = temp_server () in
+  let server_thread = Thread.create Daemon.Server.serve t in
+  let port = Daemon.Server.http_port t in
+  let connect addr =
+    let domain = Unix.domain_of_sockaddr addr in
+    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+    let rec go tries =
+      try Unix.connect fd addr
+      with Unix.Unix_error _ when tries > 0 ->
+        Unix.sleepf 0.05;
+        go (tries - 1)
+    in
+    go 40;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+    Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.;
+    fd
+  in
+  let ctl () = connect (Unix.ADDR_UNIX (Daemon.Server.socket_path t)) in
+  let http () =
+    connect (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+  in
+  (* Send [payload] (the daemon may hang up part-way), then read what it
+     answered until it closes; a timeout means it never did. *)
+  let rude fd payload =
+    let bytes = Bytes.of_string payload in
+    (try write_all fd bytes 0 (Bytes.length bytes)
+     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+    let rec drain () =
+      match Unix.read fd chunk 0 4096 with
+      | 0 -> ()
+      | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "the daemon kept the connection open"
+    in
+    drain ();
+    Unix.close fd;
+    Buffer.contents buf
+  in
+  let typed_error reply =
+    match Daemon.Proto.parse_outcome (String.trim reply) with
+    | Ok (Error (Qvisor.Error.Config _)) -> true
+    | _ -> false
+  in
+  let is_431 reply =
+    String.length reply >= 12 && String.sub reply 0 12 = "HTTP/1.1 431"
+  in
+  let mib = String.make (1 lsl 20) 'x' in
+  let just_over = String.make (Daemon.Server.max_input_bytes + 1) 'x' in
+  (* 1 MiB: closed; whatever answer got through before the hang-up is
+     the right one. *)
+  let reply = rude (ctl ()) mib in
+  Alcotest.(check bool) "1 MiB control line: closed, typed error" true
+    (reply = "" || typed_error reply);
+  let reply = rude (http ()) ("GET /metrics HTTP/1.1\r\nX-Big: " ^ mib) in
+  Alcotest.(check bool) "1 MiB header: closed, 431" true
+    (reply = "" || is_431 reply);
+  (* One byte over the cap: every byte is read, so the answer arrives. *)
+  Alcotest.(check bool) "over-long control line: typed error line" true
+    (typed_error (rude (ctl ()) just_over));
+  Alcotest.(check bool) "over-long head: 431" true
+    (is_431 (rude (http ()) just_over));
+  let fd = ctl () in
+  (match rpc fd Daemon.Proto.Status with
+  | Ok (Daemon.Proto.Status_reply st) ->
+    Alcotest.(check int) "status still answers" 1 st.Daemon.Proto.epoch
+  | _ -> Alcotest.fail "status after the oversized inputs");
+  Alcotest.(check bool) "scrape still answers" true
+    (String.length (http_get port "/metrics") > 0);
+  (match rpc fd Daemon.Proto.Shutdown with
+  | Ok Daemon.Proto.Shutting_down -> ()
+  | _ -> Alcotest.fail "shutdown must be acknowledged");
+  Unix.close fd;
+  Thread.join server_thread
+
 (* ------------------------------------------------------------------ *)
 (* HTTP target parsing                                                *)
 (* ------------------------------------------------------------------ *)
@@ -760,6 +846,8 @@ let () =
             test_socket_integration;
           Alcotest.test_case "clients that hang up before the reply" `Slow
             test_client_hangs_up;
+          Alcotest.test_case "oversized control line and request head" `Slow
+            test_oversized_input;
           Alcotest.test_case "query, top and report end to end" `Slow
             test_query_dashboard_integration;
         ] );

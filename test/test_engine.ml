@@ -285,7 +285,7 @@ let prop_eq_sorted =
 (* Timer wheel                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The wheel's horizon at the defaults is 2^16 ticks of 1 ns = ~65 us;
+(* The wheel's horizon at the defaults is 2^12 ticks of 2^-24 s = ~244 us;
    times comfortably beyond it exercise the overflow heap. *)
 let far = 1e-3
 
@@ -345,6 +345,46 @@ let test_tw_far_future_overflow () =
     (snd (pop ()));
   Alcotest.(check string) "heap drains last" "farther" (snd (pop ()));
   Alcotest.(check bool) "empty" true (Engine.Timer_wheel.is_empty q)
+
+let test_tw_pop_allocation () =
+  (* One far-future event (an SLO tick, say) waits in the overflow heap
+     while near-term events drain ahead of it.  Every pop compares the
+     wheel head against the heap top: [pop_before] must do it allocating
+     nothing at all, and [pop] nothing beyond its own result (a [Some]
+     and a pair, 5 words). *)
+  let n = 10_000 in
+  let fill q =
+    Engine.Timer_wheel.push q ~time:far (-1);
+    for i = 0 to n - 1 do
+      Engine.Timer_wheel.push q ~time:(float_of_int i *. 1e-8) i
+    done
+  in
+  let q = Engine.Timer_wheel.create () in
+  fill q;
+  let sum = ref 0 in
+  let consume _ x = sum := !sum + x in
+  (* Opaque, so the loop passes one boxed horizon rather than reboxing an
+     unboxed local at every call. *)
+  let horizon = Sys.opaque_identity (far /. 2.) in
+  let w0 = Gc.minor_words () in
+  while Engine.Timer_wheel.pop_before q ~horizon consume do
+    ()
+  done;
+  (* The delta includes the first probe's own boxed float (2 words). *)
+  let words = Gc.minor_words () -. w0 -. 2. in
+  Alcotest.(check int) "near-term events popped in order" (n * (n - 1) / 2) !sum;
+  Alcotest.(check int) "far event still pending" 1 (Engine.Timer_wheel.size q);
+  Alcotest.(check (float 0.)) "pop_before: 0 words per pop" 0.
+    (Float.round (words /. float_of_int n));
+  let q = Engine.Timer_wheel.create () in
+  fill q;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Engine.Timer_wheel.pop q))
+  done;
+  let words = Gc.minor_words () -. w0 -. 2. in
+  Alcotest.(check (float 0.)) "pop: only its result, 5 words per pop" 5.
+    (Float.round (words /. float_of_int n))
 
 let prop_tw_matches_event_queue =
   (* Differential: on any batch of (possibly tied, possibly
@@ -835,7 +875,7 @@ let test_ts_out_of_order () =
   Alcotest.(check int) "span" 5 (List.length (Engine.Timeseries.buckets ts))
 
 (* ------------------------------------------------------------------ *)
-(* Merge machinery (P², Timeseries)                                    *)
+(* Merge machinery (P²)                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_p2_merge_small_exact () =
@@ -882,28 +922,6 @@ let test_p2_merge_empty_and_mismatch () =
   Alcotest.(check bool) "quantile mismatch rejected" true
     (try
        Engine.P2_quantile.merge_into ~into:a other;
-       false
-     with Invalid_argument _ -> true)
-
-let test_ts_merge () =
-  let a = Engine.Timeseries.create ~bucket:1.0 () in
-  let b = Engine.Timeseries.create ~bucket:1.0 () in
-  Engine.Timeseries.add a ~time:0.5 1.;
-  Engine.Timeseries.add b ~time:0.5 2.;
-  Engine.Timeseries.add b ~time:3.5 4.;
-  Engine.Timeseries.merge_into ~into:a b;
-  check_float "totals add" 7. (Engine.Timeseries.total a);
-  (match Engine.Timeseries.buckets a with
-  | (t0, v0) :: _ ->
-    check_float "first bucket time" 0. t0;
-    check_float "first bucket sums" 3. v0
-  | [] -> Alcotest.fail "no buckets");
-  Alcotest.(check int) "span covers src" 4
-    (List.length (Engine.Timeseries.buckets a));
-  let wide = Engine.Timeseries.create ~bucket:2.0 () in
-  Alcotest.(check bool) "bucket mismatch rejected" true
-    (try
-       Engine.Timeseries.merge_into ~into:a wide;
        false
      with Invalid_argument _ -> true)
 
@@ -1128,6 +1146,8 @@ let () =
           Alcotest.test_case "same-instant FIFO" `Quick test_tw_same_instant_fifo;
           Alcotest.test_case "far-future overflow" `Quick
             test_tw_far_future_overflow;
+          Alcotest.test_case "pops allocate nothing behind a far event" `Quick
+            test_tw_pop_allocation;
           qc prop_tw_matches_event_queue;
         ] );
       ( "sim",
@@ -1167,7 +1187,6 @@ let () =
           Alcotest.test_case "empty" `Quick test_ts_empty;
           Alcotest.test_case "invalid" `Quick test_ts_invalid;
           Alcotest.test_case "out of order" `Quick test_ts_out_of_order;
-          Alcotest.test_case "merge" `Quick test_ts_merge;
         ] );
       ( "parallel",
         [

@@ -93,6 +93,55 @@ let test_run_reports_bad_policy () =
     Alcotest.(check bool) "unknown-tenant error" true
       (match e with Qvisor.Error.Unknown_tenant _ -> true | _ -> false)
 
+(* The perf layer's per-stage event counts on the quick QVISOR point:
+   each [perf.stage.<stage>.events] is a fixed sum of the fabric's own
+   [net.*] counters, and the recorder stage counts only with the flight
+   recorder armed. *)
+let perf_stage_counters ~slo =
+  let tel = Engine.Telemetry.create () in
+  match
+    Experiments.Fig4.run ~telemetry:tel ~slo Experiments.Fig4.quick
+      (Experiments.Fig4.Qvisor_policy "pfabric >> edf")
+  with
+  | Error e -> Alcotest.failf "run failed: %s" (Qvisor.Error.to_string e)
+  | Ok _ ->
+    let counters = Engine.Telemetry.exported_counters tel in
+    let get name =
+      match List.assoc_opt name counters with
+      | Some v -> v
+      | None -> Alcotest.failf "missing counter %s" name
+    in
+    (get, Engine.Telemetry.exported_gauges tel)
+
+let test_perf_stages_derived () =
+  let get, gauges = perf_stage_counters ~slo:true in
+  let enq = get "net.enqueue" and deq = get "net.dequeue" in
+  let hooks = enq + deq + get "net.drop" in
+  List.iter
+    (fun (stage, expected) ->
+      Alcotest.(check int) stage expected
+        (get (Printf.sprintf "perf.stage.%s.events" stage));
+      Alcotest.(check bool) (stage ^ " rate published") true
+        (List.mem_assoc
+           (Printf.sprintf "perf.stage.%s.events_per_sec" stage)
+           gauges))
+    [
+      ("enqueue", enq);
+      ("dequeue", deq);
+      ("preprocess", enq);
+      ("recorder", hooks);
+      ("slo_audit", hooks + get "net.tie_inversions");
+    ];
+  Alcotest.(check bool) "traffic flowed" true (enq > 0 && deq > 0);
+  Alcotest.(check bool) "gc gauges sampled" true
+    (List.mem_assoc "gc.minor_collections" gauges)
+
+let test_perf_recorder_needs_flight () =
+  let get, _ = perf_stage_counters ~slo:false in
+  Alcotest.(check int) "recorder idle" 0 (get "perf.stage.recorder.events");
+  Alcotest.(check int) "enqueue still counted" (get "net.enqueue")
+    (get "perf.stage.enqueue.events")
+
 (* ------------------------------------------------------------------ *)
 (* Parallel sweep determinism                                         *)
 (* ------------------------------------------------------------------ *)
@@ -324,6 +373,13 @@ let () =
           Alcotest.test_case "tree backend" `Slow test_tree_backend_runs;
           Alcotest.test_case "bad policy is an Error" `Quick
             test_run_reports_bad_policy;
+        ] );
+      ( "perf_stages",
+        [
+          Alcotest.test_case "derived from net counters" `Slow
+            test_perf_stages_derived;
+          Alcotest.test_case "recorder needs flight" `Slow
+            test_perf_recorder_needs_flight;
         ] );
       ( "parallel_sweep",
         [

@@ -1,8 +1,7 @@
-(* Tests for Engine.Perf: allocation probes, atomic file writes, the
-   per-stage meters and their published gauges, GC sampling, the
-   repeated-trial benchmark harness (summary statistics and JSON round
-   trips), the `bench diff` comparator's verdict logic on hand-built
-   reports, and the span profiler's per-span allocation deltas
+(* Tests for Engine.Perf: allocation probes, atomic file writes, GC
+   sampling, the repeated-trial benchmark harness (summary statistics and
+   JSON round trips), the `bench diff` comparator's verdict logic on
+   hand-built reports, and the span profiler's per-span allocation deltas
    (including the recorder's zero-allocation steady state). *)
 
 module Perf = Engine.Perf
@@ -101,72 +100,6 @@ let test_write_atomic_failed_writer () =
   Alcotest.(check (list string))
     "temp file cleaned up" [ "out.json" ]
     (Array.to_list (Sys.readdir dir))
-
-(* ------------------------------------------------------------------ *)
-(* Meters                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_meter_bad_sample () =
-  Alcotest.check_raises "not a power of two"
-    (Invalid_argument "Perf.Meter.create: sample must be a positive power of two")
-    (fun () -> ignore (Perf.Meter.create ~sample:3 "x"));
-  Alcotest.check_raises "zero"
-    (Invalid_argument "Perf.Meter.create: sample must be a positive power of two")
-    (fun () -> ignore (Perf.Meter.create ~sample:0 "x"))
-
-let test_meter_counts () =
-  let m = Perf.Meter.create ~sample:1 "stage" in
-  Alcotest.(check string) "name" "stage" (Perf.Meter.name m);
-  Alcotest.(check bool)
-    "per-op nan before first sample" true
-    (Float.is_nan (Perf.Meter.alloc_bytes_per_op m));
-  for _ = 1 to 10 do
-    Perf.Meter.before m;
-    ignore (Sys.opaque_identity (Array.make 1000 0.));
-    Perf.Meter.after m
-  done;
-  Alcotest.(check int) "ops" 10 (Perf.Meter.ops m);
-  let bpe = Perf.Meter.alloc_bytes_per_op m in
-  (* Every bracket allocates ~1000 words; sampling every event must see
-     at least most of it (probe correction can only subtract). *)
-  Alcotest.(check bool)
-    (Printf.sprintf "alloc/op sampled (%.0f B)" bpe)
-    true
-    (bpe > 500. *. Perf.word_bytes);
-  (* The disabled meter counts nothing. *)
-  Perf.Meter.before Perf.Meter.disabled;
-  Perf.Meter.after Perf.Meter.disabled;
-  Alcotest.(check int) "disabled ops" 0 (Perf.Meter.ops Perf.Meter.disabled)
-
-let test_meters_publish () =
-  let ms = Perf.Meters.create () in
-  Alcotest.(check bool) "enabled" true (Perf.Meters.is_enabled ms);
-  Alcotest.(check bool)
-    "disabled" false
-    (Perf.Meters.is_enabled Perf.Meters.disabled);
-  Alcotest.(check int) "five stages" 5 (List.length (Perf.Meters.all ms));
-  let enq = Perf.Meters.enqueue ms in
-  for _ = 1 to 7 do
-    Perf.Meter.before enq;
-    Perf.Meter.after enq
-  done;
-  let tel = Tel.create () in
-  Perf.Meters.publish ms tel;
-  Alcotest.(check int)
-    "events counter carries the window" 7
-    (Tel.Counter.value (Tel.counter tel "perf.stage.enqueue.events"));
-  Alcotest.(check bool)
-    "rate gauge set" true
-    (Tel.Gauge.value (Tel.gauge tel "perf.stage.enqueue.events_per_sec") > 0.);
-  (* A second publish with no new events adds zero, not the total again. *)
-  Perf.Meters.publish ms tel;
-  Alcotest.(check int)
-    "windows, not totals" 7
-    (Tel.Counter.value (Tel.counter tel "perf.stage.enqueue.events"));
-  (* Publishing to a disabled registry (or from disabled meters) is a
-     no-op and must not raise. *)
-  Perf.Meters.publish ms Tel.disabled;
-  Perf.Meters.publish Perf.Meters.disabled tel
 
 (* ------------------------------------------------------------------ *)
 (* GC sampling                                                        *)
@@ -547,12 +480,6 @@ let () =
           Alcotest.test_case "write_atomic" `Quick test_write_atomic;
           Alcotest.test_case "write_atomic failed writer" `Quick
             test_write_atomic_failed_writer;
-        ] );
-      ( "meters",
-        [
-          Alcotest.test_case "bad sample" `Quick test_meter_bad_sample;
-          Alcotest.test_case "counts and sampling" `Quick test_meter_counts;
-          Alcotest.test_case "publish" `Quick test_meters_publish;
         ] );
       ( "gc",
         [
