@@ -727,9 +727,7 @@ let serve_http t c =
 let refuse_oversized c =
   (match c.kind with
   | `Ctl ->
-    let msg =
-      Printf.sprintf "control line exceeds %d bytes" max_input_bytes
-    in
+    let msg = Printf.sprintf "control line exceeds %d bytes" max_input_bytes in
     send c (Proto.outcome_line (Error (Qvisor.Error.Config msg)))
   | `Http ->
     send c
@@ -768,9 +766,9 @@ let rec accept_all t kind fd =
   match Unix.accept ~cloexec:true fd with
   | cfd, _ ->
     Unix.set_nonblock cfd;
+    let buf = Bytes.create 4096 in
     t.conns <-
-      { fd = cfd; kind; buf = Bytes.create 4096; start = 0; stop = 0; closed = false }
-      :: t.conns;
+      { fd = cfd; kind; buf; start = 0; stop = 0; closed = false } :: t.conns;
     accept_all t kind fd
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->

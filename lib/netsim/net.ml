@@ -490,8 +490,8 @@ let stage_events t =
     and deq = Tel.Counter.value ins.deq_total
     and drop = Tel.Counter.value ins.drop_total in
     (* Every hop runs the preprocess and [on_enqueue] hooks once, every
-       served packet [on_dequeue], every drop or eviction [on_drop], and
-       the flight recorder appends one entry group per each of those. *)
+       served packet [on_dequeue] and every drop or eviction [on_drop];
+       with [flight] armed, each of those is also one recorder write. *)
     let hooks = enq + deq + drop in
     [
       ("enqueue", enq);
